@@ -1,46 +1,16 @@
-"""Decoder kernels: a numba-jitted hot loop with a pure-numpy fallback.
+"""Belief-propagation decoder hot loop, vectorised over the edge arrays.
 
-The active backend is chosen at import time — set the ``FADEKEY_NO_NUMBA``
-environment variable (to ``1``/``true``/``yes``) to force the numpy path —
-and can be switched at runtime with :func:`set_backend` (the tests and the
-benchmark do this).  Both backends run the identical update schedule; their
-libm calls may differ in the final ulp, so cross-backend comparisons are
-meaningful on hard decisions, not on message values.
+One flooding log-domain sum-product kernel in numpy: each iteration updates
+every check-to-variable message at once from prefix/suffix products of the
+check's incoming ``tanh`` terms, then every variable-to-check message from
+the per-variable totals.  ``tests/reference_bp.py`` is an independently
+structured copy of the same schedule, and the two agree bit for bit.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 CLAMP = 30.0
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install-time dependency
-    njit = None
-    HAVE_NUMBA = False
-
-
-_env = os.environ.get("FADEKEY_NO_NUMBA", "").strip().lower()
-_backend = "numpy" if (_env in ("1", "true", "yes") or not HAVE_NUMBA) else "numba"
-_numba_kernel = None
-
-
-def get_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    """Select 'numba' or 'numpy' for subsequent decodes."""
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _backend = name
 
 
 def bp_syndrome_decode(edge_var, chk_deg, n_var, syn, llr, max_iter):
@@ -54,18 +24,7 @@ def bp_syndrome_decode(edge_var, chk_deg, n_var, syn, llr, max_iter):
     edge_var = np.ascontiguousarray(edge_var, dtype=np.int64)
     syn = np.ascontiguousarray(syn, dtype=np.uint8)
     llr = np.ascontiguousarray(llr, dtype=np.float64)
-    if _backend == "numba":
-        global _numba_kernel
-        if _numba_kernel is None:
-            _numba_kernel = _build_numba_kernel()
-        ok, it, hard = _numba_kernel(edge_var, int(chk_deg), int(n_var), syn, llr, int(max_iter))
-        return bool(ok), int(it), np.asarray(hard)
-    return _bp_numpy(edge_var, int(chk_deg), int(n_var), syn, llr, int(max_iter))
-
-
-def _bp_numpy(edge_var, chk_deg, n_var, syn, llr, max_iter):
-    E = edge_var.size
-    m = E // chk_deg
+    m = edge_var.size // chk_deg
     sign = 1.0 - 2.0 * syn.astype(np.float64)
 
     hard = (llr < 0).astype(np.uint8)
@@ -92,86 +51,3 @@ def _bp_numpy(edge_var, chk_deg, n_var, syn, llr, max_iter):
 def _parity_matches(hard, edge_var, m, chk_deg, syn):
     par = np.bitwise_xor.reduce(hard[edge_var].reshape(m, chk_deg), axis=1)
     return np.array_equal(par, syn)
-
-
-def _build_numba_kernel():
-    @njit(cache=True)
-    def _bp(edge_var, chk_deg, n_var, syn, llr, max_iter):  # pragma: no cover - jitted
-        E = edge_var.size
-        m = E // chk_deg
-
-        hard = np.zeros(n_var, np.uint8)
-        for v in range(n_var):
-            if llr[v] < 0.0:
-                hard[v] = 1
-        ok = True
-        for c in range(m):
-            p = np.uint8(0)
-            for k in range(chk_deg):
-                p ^= hard[edge_var[c * chk_deg + k]]
-            if p != syn[c]:
-                ok = False
-                break
-        if ok:
-            return True, 0, hard
-
-        v2c = np.empty(E)
-        c2v = np.empty(E)
-        for e in range(E):
-            v2c[e] = llr[edge_var[e]]
-        t = np.empty(chk_deg)
-        pre = np.empty(chk_deg)
-        suf = np.empty(chk_deg)
-        tot = np.empty(n_var)
-
-        for it in range(max_iter):
-            for c in range(m):
-                base = c * chk_deg
-                for k in range(chk_deg):
-                    t[k] = np.tanh(0.5 * v2c[base + k])
-                pre[0] = 1.0
-                for k in range(1, chk_deg):
-                    pre[k] = pre[k - 1] * t[k - 1]
-                suf[chk_deg - 1] = 1.0
-                for k in range(chk_deg - 2, -1, -1):
-                    suf[k] = suf[k + 1] * t[k + 1]
-                s = 1.0 - 2.0 * syn[c]
-                for k in range(chk_deg):
-                    val = s * (2.0 * np.arctanh(pre[k] * suf[k]))
-                    if val > CLAMP:
-                        val = CLAMP
-                    elif val < -CLAMP:
-                        val = -CLAMP
-                    c2v[base + k] = val
-
-            for v in range(n_var):
-                tot[v] = 0.0
-            for e in range(E):
-                tot[edge_var[e]] += c2v[e]
-
-            for v in range(n_var):
-                if llr[v] + tot[v] < 0.0:
-                    hard[v] = 1
-                else:
-                    hard[v] = 0
-            ok = True
-            for c in range(m):
-                p = np.uint8(0)
-                for k in range(chk_deg):
-                    p ^= hard[edge_var[c * chk_deg + k]]
-                if p != syn[c]:
-                    ok = False
-                    break
-            if ok:
-                return True, it + 1, hard
-
-            for e in range(E):
-                val = (llr[edge_var[e]] + tot[edge_var[e]]) - c2v[e]
-                if val > CLAMP:
-                    val = CLAMP
-                elif val < -CLAMP:
-                    val = -CLAMP
-                v2c[e] = val
-        return False, max_iter, hard
-
-    return _bp

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.special import digamma, erfc, j0
 
 __all__ = [
@@ -266,6 +265,8 @@ def mutual_information_estimate(xs, ys, k_neighbors: int = 4) -> MiEstimate:
         raise ValueError("k_neighbors must be in [1, n)")
     if np.ptp(xs) == 0.0 or np.ptp(ys) == 0.0:
         return MiEstimate(0.0, degenerate=True)
+    from scipy.spatial import cKDTree  # deferred: scipy.spatial dominates import time
+
     joint = np.column_stack([xs, ys])
     tree = cKDTree(joint)
     dist, _ = tree.query(joint, k=k_neighbors + 1, p=np.inf, workers=-1)

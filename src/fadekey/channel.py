@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -132,6 +133,20 @@ def _circulant_sqrt_spectrum(acf_fn, n, dt):
     return np.sqrt(np.maximum(eigs, 0.0) / m), m
 
 
+@lru_cache(maxsize=1)
+def _fading_spectrum(P, fd, n, dt):
+    """Circulant square-root spectrum of the Jakes ACF P*J0(2*pi*fd*tau).
+
+    The spectrum depends only on (P, fd, n, dt), and a campaign needs it
+    twice (Bob's trace and Eve's independent copy), as does every seeded
+    repeat of a campaign.  The last one is kept; it is read-only because
+    it is shared between calls.
+    """
+    sqrt_eigs, m = _circulant_sqrt_spectrum(lambda lag: P * jakes_acf(lag, fd), n, dt)
+    sqrt_eigs.flags.writeable = False
+    return sqrt_eigs, m
+
+
 def _gaussian_from_spectrum(sqrt_eigs, m, n, rng):
     """One stationary Gaussian sequence of length n with the embedded ACF."""
     xi = rng.standard_normal(m) + 1j * rng.standard_normal(m)
@@ -153,8 +168,7 @@ def gen_fading_trace(params: ChannelParams, n_samples: int, seed: int) -> Fading
     if params.signal_variance_P == 0.0:
         return FadingTrace(np.zeros(n_samples), times, params)
     rng = np.random.default_rng(seed)
-    acf = lambda lag: params.signal_variance_P * jakes_acf(lag, params.doppler_fd)
-    sqrt_eigs, m = _circulant_sqrt_spectrum(acf, n_samples, dt)
+    sqrt_eigs, m = _fading_spectrum(params.signal_variance_P, params.doppler_fd, n_samples, dt)
     samples = _gaussian_from_spectrum(sqrt_eigs, m, n_samples, rng)
     return FadingTrace(samples, times, params)
 
@@ -209,8 +223,7 @@ def eavesdropper_trace(trace: FadingTrace, d, wavelength, noise_var, seed) -> np
     p = trace.params.signal_variance_P
     if rho * rho < 1.0 and p > 0.0:
         dt = 1.0 / (2.0 * trace.params.probe_rate_fs)
-        acf = lambda lag: p * jakes_acf(lag, trace.params.doppler_fd)
-        sqrt_eigs, m = _circulant_sqrt_spectrum(acf, n, dt)
+        sqrt_eigs, m = _fading_spectrum(p, trace.params.doppler_fd, n, dt)
         indep = _gaussian_from_spectrum(sqrt_eigs, m, n, rng)
         out = out + np.sqrt(1.0 - rho * rho) * indep
     if noise_var > 0.0:
@@ -262,7 +275,7 @@ def read_probe_csv(path):
     """Read a probe-campaign CSV back into a dict of float64 column arrays."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, None)
         if header != ["t", "f", "x_hat", "y_hat", "e_hat"]:
             raise ValueError(f"unexpected CSV header: {header!r}")
         rows = [row for row in r if row]

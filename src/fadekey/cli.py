@@ -118,6 +118,14 @@ class UsageError(Exception):
     pass
 
 
+def _from_flags(factory, *args, **kwargs):
+    """Build one input of a subcommand; a ValueError there is a bad flag value."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fadekey",
@@ -215,6 +223,16 @@ class _IoError(Exception):
     pass
 
 
+def _read_trace(path):
+    """Columns of a probe CSV; an unreadable or malformed file is an I/O error."""
+    from .channel import read_probe_csv
+
+    try:
+        return read_probe_csv(path)
+    except (OSError, ValueError) as exc:
+        raise _IoError(str(exc)) from exc
+
+
 def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
@@ -243,7 +261,7 @@ def _run_pe_curve(p) -> None:
     noise = _snr_to_noise(p["snr_db"])
     rows = []
     for m in p["m"]:
-        cov, _ = build_covariance(m, p["fs"], p["fd"], 1.0, noise)
+        cov, _ = _from_flags(build_covariance, m, p["fs"], p["fd"], 1.0, noise)
         est = pe_levelcross(m, p["alpha"], cov, p["trials"], seed=p["seed"] + m)
         rows.append((m, est.value, est.ci_low, est.ci_high))
     _emit_csv(p["out"], ["m", "pe", "ci_low", "ci_high"], rows,
@@ -257,7 +275,7 @@ def _run_rate_curve(p) -> None:
     noise = _snr_to_noise(p["snr_db"])
     rows = []
     for i, fs in enumerate(p["fs"]):
-        cov, _ = build_covariance(p["m"], fs, p["fd"], 1.0, noise)
+        cov, _ = _from_flags(build_covariance, p["m"], fs, p["fd"], 1.0, noise)
         est = rate_levelcross(p["m"], p["alpha"], cov, fs, p["trials"],
                               seed=p["seed"] + i)
         rows.append((fs, est.value, est.value / fs, est.ci_low, est.ci_high))
@@ -269,13 +287,9 @@ def _run_rate_curve(p) -> None:
 
 def _run_mi_estimate(p) -> None:
     from .analysis import mutual_information_estimate
-    from .channel import read_probe_csv
 
     if p["trace"] is not None:
-        try:
-            cols = read_probe_csv(p["trace"])
-        except OSError as exc:
-            raise _IoError(str(exc)) from exc
+        cols = _read_trace(p["trace"])
         xs, ys = cols["x_hat"], cols["y_hat"]
         source, n = p["trace"], len(xs)
     else:
@@ -296,13 +310,12 @@ def _run_levelcross_sim(p) -> None:
     from .levelcross import LevelCrossConfig, run_protocol
 
     noise = _snr_to_noise(p["snr_db"])
-    ch = ChannelParams(signal_variance_P=1.0, noise_variance_A=noise,
-                       noise_variance_B=noise, doppler_fd=p["fd"],
-                       probe_rate_fs=p["fs"])
+    ch = _from_flags(ChannelParams, signal_variance_P=1.0, noise_variance_A=noise,
+                     noise_variance_B=noise, doppler_fd=p["fd"], probe_rate_fs=p["fs"])
+    cfg = _from_flags(LevelCrossConfig, alpha=p["alpha"], m=p["m"], window=p["window"],
+                      epsilon=p["epsilon"], seed=p["seed"])
     trace = gen_fading_trace(ch, 2 * p["n_probes"], seed=p["seed"])
     record = probe_sequence(trace, ch, seed=p["seed"])
-    cfg = LevelCrossConfig(alpha=p["alpha"], m=p["m"], window=p["window"],
-                           epsilon=p["epsilon"], seed=p["seed"])
     result = run_protocol(record, cfg)
     payload = {
         "key_len": len(result.key_alice) if result.key_alice is not None else 0,
@@ -324,12 +337,12 @@ def _run_gaussian_rate_curve(p) -> None:
     from .gaussian_keygen import GaussianConfig, run_gaussian_system
     from .reconcile import ldpc_generate
 
-    if p["n"] % p["v"]:
-        raise UsageError(f"code length {p['n']} not divisible by v={p['v']}")
+    if p["v"] < 1 or p["n"] % p["v"]:
+        raise UsageError(f"v={p['v']} must be >= 1 and divide the code length {p['n']}")
     for variant in p["variants"]:
         if variant not in ("basic", "overquant", "soft_error"):
             raise UsageError(f"unknown variant {variant!r}")
-    code = ldpc_generate(p["n"], seed=p["code_seed"])
+    code = _from_flags(ldpc_generate, p["n"], seed=p["code_seed"])
     n_samples = p["n"] // p["v"]
     rows = []
     for snr in p["snr_db"]:
@@ -340,9 +353,9 @@ def _run_gaussian_rate_curve(p) -> None:
             fails = 0
             net = 0.0
             for b in range(p["blocks"]):
-                out = run_gaussian_system(GaussianConfig(
-                    code=code, v=p["v"], n_samples=n_samples, variant=variant,
-                    m_over=m, P=1.0, N=noise, seed=p["seed"] + b))
+                out = run_gaussian_system(_from_flags(
+                    GaussianConfig, code=code, v=p["v"], n_samples=n_samples,
+                    variant=variant, m_over=m, P=1.0, N=noise, seed=p["seed"] + b))
                 fails += not out.decode_success
                 net += out.net_rate_bits_per_sample
             rows.append((snr, variant, p["v"], m, fails / p["blocks"],
@@ -355,24 +368,19 @@ def _run_gaussian_rate_curve(p) -> None:
 
 
 def _run_universal_sim(p) -> None:
-    from .channel import read_probe_csv
     from .reconcile import ldpc_generate
     from .universal import UniversalConfig, run_universal_system
 
     xs = ys = None
     if p["trace"] is not None:
-        try:
-            cols = read_probe_csv(p["trace"])
-        except OSError as exc:
-            raise _IoError(str(exc)) from exc
+        cols = _read_trace(p["trace"])
         xs, ys = cols["x_hat"], cols["y_hat"]
         if xs.size < p["n"]:
             raise UsageError(
                 f"trace has {xs.size} probes, --n {p['n']} requested")
-    code = ldpc_generate(p["n"] * p["v"], seed=p["code_seed"])
-    cfg = UniversalConfig(v=p["v"], n_samples=p["n"], code=code, A=p["A"],
-                          scale=p["scale"], snr_db=p["snr_db"], seed=p["seed"],
-                          xs=xs, ys=ys)
+    code = _from_flags(ldpc_generate, p["n"] * p["v"], seed=p["code_seed"])
+    cfg = _from_flags(UniversalConfig, v=p["v"], n_samples=p["n"], code=code, A=p["A"],
+                      scale=p["scale"], snr_db=p["snr_db"], seed=p["seed"], xs=xs, ys=ys)
     out = run_universal_system(cfg)
     payload = {
         "decode_success": bool(out.decode_success),
@@ -409,9 +417,6 @@ def run(config: ExperimentConfig) -> int:
     try:
         _DISPATCH[config.subcommand](config.params)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (EstimateInfeasibleError, SynthesisError) as exc:

@@ -14,12 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtr, ndtri
-from scipy.stats import norm
+from scipy.special import log_ndtr, logsumexp, ndtr, ndtri
 
 from ._bits import BitString
 from .channel import gen_iid_gaussian_source
-from .reconcile import LdpcCode, SecretKeyOutcome, decode_syndrome, privacy_amplify, syndrome
+from .reconcile import (
+    LLR_CLAMP,
+    LdpcCode,
+    SecretKeyOutcome,
+    block_traces,
+    decode_syndrome,
+    privacy_amplify,
+    syndrome,
+)
 
 __all__ = [
     "QuantizerSpec",
@@ -35,7 +42,6 @@ __all__ = [
     "run_gaussian_system",
 ]
 
-LLR_CLAMP = 30.0
 _PPF_EPS = 1e-12  # probability clamp for inverse-CDF arguments
 
 
@@ -142,7 +148,7 @@ def _log_cell_probs(ys: np.ndarray, spec: QuantizerSpec, P, N) -> np.ndarray:
     mu = (P / (P + N)) * ys
     sigma = np.sqrt((2.0 * P * N + N * N) / (P + N))
     a = (spec.boundaries[None, :] - mu[:, None]) / sigma
-    ls = norm.logsf(a)  # ln Q(a), decreasing in a
+    ls = log_ndtr(-a)  # ln Q(a), decreasing in a
     diff = ls[:, 1:] - ls[:, :-1]  # <= 0
     with np.errstate(divide="ignore", invalid="ignore"):
         logp = ls[:, :-1] + np.log(-np.expm1(diff))
@@ -274,19 +280,8 @@ def run_gaussian_system(config: GaussianConfig) -> SecretKeyOutcome:
     to the revealed count against the key.
     """
     v, n = config.v, config.n_samples
-    if v < 1 or n < 1:
-        raise ValueError("v and n_samples must be >= 1")
-    if n * v != config.code.n:
-        raise ValueError(f"n_samples*v = {n * v} does not match code length {config.code.n}")
-
-    if config.xs is not None or config.ys is not None:
-        if config.xs is None or config.ys is None:
-            raise ValueError("custom traces must supply both xs and ys")
-        xs = np.asarray(config.xs, dtype=np.float64)[:n]
-        ys = np.asarray(config.ys, dtype=np.float64)[:n]
-        if xs.size < n or ys.size < n:
-            raise ValueError("custom trace shorter than n_samples")
-    else:
+    xs, ys = block_traces(config.code, v, n, config.xs, config.ys)
+    if xs is None:
         xs, ys = gen_iid_gaussian_source(config.P, config.N, config.N, n, seed=[config.seed, 0])
 
     total_var = config.P + config.N

@@ -312,7 +312,7 @@ def bob_check(L, y, t: Thresholds, m: int, epsilon) -> bool:
     return float(mask[idx].mean()) >= 0.5 + epsilon
 
 
-def bob_reply(L, y, t: Thresholds, m: int, n_au: int, mac=None):
+def bob_reply(L, y, t: Thresholds, m: int, n_au: int):
     """Step 4: confirm indices, derive Bob's bits, and tag the sublist.
 
     L_tilde keeps the indices of L that fall inside Bob's excursions of
@@ -321,7 +321,6 @@ def bob_reply(L, y, t: Thresholds, m: int, n_au: int, mac=None):
     L_tilde and the remainder is his secret key.  Fewer than n_au + 1 bits
     abort with "insufficient_bits".
     """
-    mac = mac_compute if mac is None else mac
     y = np.asarray(y, dtype=np.float64)
     idx = np.asarray(L.indices if isinstance(L, ProtocolMessage) else L, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= y.size):
@@ -332,11 +331,11 @@ def bob_reply(L, y, t: Thresholds, m: int, n_au: int, mac=None):
     if len(bits) <= n_au:
         raise ProtocolAbort("insufficient_bits")
     k_au = bits[:n_au]
-    tag = mac(k_au, _serialize_indices(l_tilde))
+    tag = mac_compute(k_au, _serialize_indices(l_tilde))
     return ProtocolMessage("reply", l_tilde, tag), bits[n_au:]
 
 
-def alice_finalize(reply: ProtocolMessage, x, t: Thresholds, n_au: int, mac=None) -> KeyAgreementResult:
+def alice_finalize(reply: ProtocolMessage, x, t: Thresholds, n_au: int) -> KeyAgreementResult:
     """Step 5: recompute the tag on Alice's side and authenticate.
 
     Alice quantizes her own samples at the confirmed indices, keys the MAC
@@ -344,7 +343,6 @@ def alice_finalize(reply: ProtocolMessage, x, t: Thresholds, n_au: int, mac=None
     received one.  An index whose sample falls in her guard band cannot
     come from her own announcement and aborts as a faked list.
     """
-    mac = mac_compute if mac is None else mac
     x = np.asarray(x, dtype=np.float64)
     idx = reply.indices
     if idx.size and (idx.min() < 0 or idx.max() >= x.size):
@@ -355,7 +353,7 @@ def alice_finalize(reply: ProtocolMessage, x, t: Thresholds, n_au: int, mac=None
     bits = BitString(np.array(vals, dtype=np.uint8))
     if len(bits) <= n_au:
         raise ProtocolAbort("insufficient_bits")
-    tag = mac(bits[:n_au], _serialize_indices(idx))
+    tag = mac_compute(bits[:n_au], _serialize_indices(idx))
     if tag != reply.mac_tag:
         return KeyAgreementResult(
             key_alice=BitString.zeros(0),

@@ -153,6 +153,28 @@ def _bfs_check_distances(v, var_nbrs, chk_nbrs, m, n):
     return dist
 
 
+def block_traces(code: LdpcCode, v: int, n: int, xs, ys):
+    """Check one block's shape and return its custom traces cut to n samples.
+
+    n samples of v bits each must fill the code exactly.  Custom traces
+    come in pairs: both ``xs`` and ``ys``, each at least n samples long, or
+    neither, in which case the result is ``(None, None)``.
+    """
+    if v < 1 or n < 1:
+        raise ValueError("v and n_samples must be >= 1")
+    if n * v != code.n:
+        raise ValueError(f"n_samples*v = {n * v} does not match code length {code.n}")
+    if xs is None and ys is None:
+        return None, None
+    if xs is None or ys is None:
+        raise ValueError("custom traces must supply both xs and ys")
+    xs = np.asarray(xs, dtype=np.float64)[:n]
+    ys = np.asarray(ys, dtype=np.float64)[:n]
+    if xs.size < n or ys.size < n:
+        raise ValueError("custom trace shorter than n_samples")
+    return xs, ys
+
+
 def syndrome(code: LdpcCode, x: BitString) -> BitString:
     """s = H·x over GF(2), length n/2."""
     if len(x) != code.n:

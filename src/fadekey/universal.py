@@ -16,7 +16,7 @@ import numpy as np
 
 from ._bits import BitString
 from .channel import gen_iid_gaussian_source
-from .reconcile import LdpcCode, SecretKeyOutcome, decode_syndrome, privacy_amplify, syndrome
+from .reconcile import LdpcCode, SecretKeyOutcome, block_traces, decode_syndrome, privacy_amplify, syndrome
 
 __all__ = [
     "UniformSamples",
@@ -165,6 +165,10 @@ class UniversalConfig:
     ys: np.ndarray | None = None  # custom trace, Bob side
     eve: np.ndarray | None = None  # eavesdropper samples; enables leakage margin
 
+    def __post_init__(self):
+        if self.A is not None and self.A < self.v:
+            raise ValueError("A must be >= v")
+
 
 def run_universal_system(config: UniversalConfig) -> SecretKeyOutcome:
     """End-to-end distribution-free pipeline for one block.
@@ -177,22 +181,9 @@ def run_universal_system(config: UniversalConfig) -> SecretKeyOutcome:
     eavesdropper samples are supplied.
     """
     v, n = config.v, config.n_samples
-    if v < 1 or n < 1:
-        raise ValueError("v and n_samples must be >= 1")
-    if n * v != config.code.n:
-        raise ValueError(f"n_samples*v = {n * v} does not match code length {config.code.n}")
     A = config.A if config.A is not None else v + 2
-    if A < v:
-        raise ValueError("A must be >= v")
-
-    if config.xs is not None or config.ys is not None:
-        if config.xs is None or config.ys is None:
-            raise ValueError("custom traces must supply both xs and ys")
-        xs = np.asarray(config.xs, dtype=np.float64)[:n]
-        ys = np.asarray(config.ys, dtype=np.float64)[:n]
-        if xs.size < n or ys.size < n:
-            raise ValueError("custom trace shorter than n_samples")
-    else:
+    xs, ys = block_traces(config.code, v, n, config.xs, config.ys)
+    if xs is None:
         noise = 10.0 ** (-config.snr_db / 10.0)
         xs, ys = gen_iid_gaussian_source(1.0, noise, noise, n, seed=[config.seed, 0])
 

@@ -14,7 +14,6 @@ import pytest
 from scipy.special import jn_zeros
 from scipy.stats import chi2_contingency
 
-from fadekey import _kernels
 from fadekey._bits import BitString
 from fadekey.analysis import (
     build_covariance,
@@ -283,18 +282,13 @@ def test_criterion_12_key_randomness(level_cross_runs):
 
 def test_criterion_13_decoder_oracle_equivalence(code400):
     alist = to_alist(code400)
-    prev = _kernels.get_backend()
-    _kernels.set_backend("numpy")
-    try:
-        rng = np.random.default_rng(2024)
-        mismatches = 0
-        for _ in range(20):
-            llr = rng.normal(1.2, 1.8, size=400)
-            ok_r, it_r, hard_r = reference_decode(alist, np.zeros(200, np.uint8), llr)
-            res = decode_syndrome(code400, BitString.zeros(200), llr)
-            same = (res.success == ok_r and res.iterations == it_r
-                    and res.bits.to_array().tolist() == hard_r.tolist())
-            mismatches += not same
-    finally:
-        _kernels.set_backend(prev)
+    rng = np.random.default_rng(2024)
+    mismatches = 0
+    for _ in range(20):
+        llr = rng.normal(1.2, 1.8, size=400)
+        ok_r, it_r, hard_r = reference_decode(alist, np.zeros(200, np.uint8), llr)
+        res = decode_syndrome(code400, BitString.zeros(200), llr)
+        same = (res.success == ok_r and res.iterations == it_r
+                and res.bits.to_array().tolist() == hard_r.tolist())
+        mismatches += not same
     _verdict(13, mismatches == 0, f"{20 - mismatches}/20 seeded all-zero-coset decodes bit-exact vs reference")

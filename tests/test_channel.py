@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fadekey import channel
 from fadekey.channel import (
     ChannelParams,
     FadingTrace,
@@ -119,6 +120,22 @@ class TestGenFadingTrace:
         a = gen_fading_trace(_params(), 512, seed=42)
         b = gen_fading_trace(_params(), 512, seed=42)
         assert np.array_equal(a.samples, b.samples)
+
+    def test_cached_spectrum_is_bit_identical(self):
+        # the kept spectrum must equal a fresh embedding exactly, so that
+        # seeded traces do not depend on what was synthesised before them
+        params = _params(P=2.0, N_B=0.1)
+        channel._fading_spectrum.cache_clear()
+        cold = gen_fading_trace(params, 4096, seed=5)
+        cold_eve = probe_sequence(cold, params, seed=6).e_hat
+        warm = gen_fading_trace(params, 4096, seed=5)
+        assert channel._fading_spectrum.cache_info().hits >= 2
+        assert np.array_equal(cold.samples, warm.samples)
+        assert np.array_equal(cold_eve, probe_sequence(warm, params, seed=6).e_hat)
+        fresh, m = channel._circulant_sqrt_spectrum(lambda lag: 2.0 * jakes_acf(lag, 10.0), 4096, 0.005)
+        kept, m_kept = channel._fading_spectrum(2.0, 10.0, 4096, 0.005)
+        assert m == m_kept and np.array_equal(fresh, kept)
+        assert not kept.flags.writeable
 
     def test_seed_changes_trace(self):
         a = gen_fading_trace(_params(), 512, seed=1)

@@ -226,8 +226,27 @@ class TestUniversalSim:
         assert main(["universal-sim", "--trace", "/no/such/trace.csv",
                      "--out", str(tmp_path / "u.json")]) == EXIT_IO
 
+    @pytest.mark.parametrize("text", ["t,x,y\n0,1,2\n", ""], ids=["bad_header", "empty"])
+    def test_malformed_trace_file(self, tmp_path, text):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(text, encoding="utf-8")
+        assert main(["universal-sim", "--trace", str(csv_path),
+                     "--out", str(tmp_path / "u.json")]) == EXIT_IO
+
 
 class TestExitCodes:
+    def test_bad_flag_value_exits_usage(self, tmp_path):
+        assert main(["levelcross-sim", "--window", "50", "--n-probes", "300",
+                     "--out", str(tmp_path / "lc.json")]) == EXIT_USAGE
+
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch, tmp_path):
+        def broken(record, config):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr("fadekey.levelcross.run_protocol", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["levelcross-sim", "--n-probes", "300", "--out", str(tmp_path / "lc.json")])
+
     def test_unwritable_output(self):
         assert main(["capacity", "--snr-db", "5",
                      "--out", "/nonexistent-dir/x.csv"]) == EXIT_IO

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fadekey import _kernels
 from fadekey._bits import BitString
 from fadekey import reconcile
 from fadekey.reconcile import (
@@ -223,52 +222,26 @@ class TestDecodeSyndrome:
 
 class TestReferenceEquivalence:
     def test_zero_syndrome_bit_exact_vs_reference(self, code400):
-        # the packaged numpy backend must reproduce an independently
-        # structured all-zero-coset decode bit for bit
+        # the packaged kernel must reproduce an independently structured
+        # all-zero-coset decode bit for bit
         alist = to_alist(code400)
-        prev = _kernels.get_backend()
-        _kernels.set_backend("numpy")
-        try:
-            rng = np.random.default_rng(2024)
-            for trial in range(20):
-                llr = rng.normal(1.2, 1.8, size=400)  # all-zero codeword over AWGN-ish noise
-                ok_r, it_r, hard_r = reference_decode(alist, np.zeros(200, np.uint8), llr)
-                res = decode_syndrome(code400, BitString.zeros(200), llr)
-                assert res.success == ok_r and res.iterations == it_r, f"trial {trial}"
-                assert res.bits.to_array().tolist() == hard_r.tolist(), f"trial {trial}"
-        finally:
-            _kernels.set_backend(prev)
+        rng = np.random.default_rng(2024)
+        for trial in range(20):
+            llr = rng.normal(1.2, 1.8, size=400)  # all-zero codeword over AWGN-ish noise
+            ok_r, it_r, hard_r = reference_decode(alist, np.zeros(200, np.uint8), llr)
+            res = decode_syndrome(code400, BitString.zeros(200), llr)
+            assert res.success == ok_r and res.iterations == it_r, f"trial {trial}"
+            assert res.bits.to_array().tolist() == hard_r.tolist(), f"trial {trial}"
 
     def test_nonzero_syndrome_bit_exact_vs_reference(self, code400, rng):
         alist = to_alist(code400)
-        prev = _kernels.get_backend()
-        _kernels.set_backend("numpy")
-        try:
-            x = rng.integers(0, 2, size=400)
-            s = syndrome(code400, BitString(x))
-            llr = _bsc_llrs(x, 0.06, rng)
-            ok_r, it_r, hard_r = reference_decode(alist, s.to_array(), llr)
-            res = decode_syndrome(code400, s, llr)
-            assert res.success == ok_r and res.iterations == it_r
-            assert res.bits.to_array().tolist() == hard_r.tolist()
-        finally:
-            _kernels.set_backend(prev)
-
-    @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-    def test_backends_agree_on_hard_decisions(self, code400, rng):
         x = rng.integers(0, 2, size=400)
         s = syndrome(code400, BitString(x))
-        llr = _bsc_llrs(x, 0.05, rng)
-        prev = _kernels.get_backend()
-        try:
-            _kernels.set_backend("numpy")
-            a = decode_syndrome(code400, s, llr)
-            _kernels.set_backend("numba")
-            b = decode_syndrome(code400, s, llr)
-        finally:
-            _kernels.set_backend(prev)
-        assert a.success and b.success
-        assert a.bits == b.bits
+        llr = _bsc_llrs(x, 0.06, rng)
+        ok_r, it_r, hard_r = reference_decode(alist, s.to_array(), llr)
+        res = decode_syndrome(code400, s, llr)
+        assert res.success == ok_r and res.iterations == it_r
+        assert res.bits.to_array().tolist() == hard_r.tolist()
 
 
 # ---------------------------------------------------- privacy amplification
