@@ -35,6 +35,9 @@ __all__ = [
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
+MIN_TRIALS = 10_000  # fewest Monte Carlo trials pe_levelcross/rate_levelcross accept
+MIN_MI_SAMPLES = 100  # fewest sample pairs mutual_information_estimate accepts
+
 # Reference mutual-information values (bits) measured on indoor hardware
 # links, shipped for report comparison only — not a reproduction target.
 MEASURED_MI_REFERENCE = {
@@ -167,8 +170,8 @@ def pe_levelcross(m: int, alpha, cov: CovarianceModel, n_trials: int, seed) -> M
     inequalities throughout.  Returns the estimate with a 95% Wilson CI
     conditional on the denominator count.
     """
-    if n_trials < 10_000:
-        raise ValueError("n_trials must be >= 10000")
+    if n_trials < MIN_TRIALS:
+        raise ValueError(f"n_trials must be >= {MIN_TRIALS}")
     if m < 1 or m != cov.m:
         raise ValueError("m must be >= 1 and match the covariance model")
     t_alice, t_bob = _estimate_times(m, cov.fs)
@@ -204,8 +207,8 @@ def rate_levelcross(m: int, alpha, cov: CovarianceModel, fs, n_trials: int, seed
     The probing geometry is rebuilt at the requested fs; cov supplies the
     channel parameters (fd, P, N).
     """
-    if n_trials < 10_000:
-        raise ValueError("n_trials must be >= 10000")
+    if n_trials < MIN_TRIALS:
+        raise ValueError(f"n_trials must be >= {MIN_TRIALS}")
     if m < 1 or m != cov.m:
         raise ValueError("m must be >= 1 and match the covariance model")
     t_alice = np.arange(m) / fs
@@ -259,8 +262,8 @@ def mutual_information_estimate(xs, ys, k_neighbors: int = 4) -> MiEstimate:
     if xs.size != ys.size:
         raise ValueError("inputs must have equal length")
     n = xs.size
-    if n < 100:
-        raise ValueError("need at least 100 samples")
+    if n < MIN_MI_SAMPLES:
+        raise ValueError(f"need at least {MIN_MI_SAMPLES} samples")
     if k_neighbors < 1 or k_neighbors >= n:
         raise ValueError("k_neighbors must be in [1, n)")
     if np.ptp(xs) == 0.0 or np.ptp(ys) == 0.0:

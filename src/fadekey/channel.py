@@ -3,9 +3,11 @@
 Alice and Bob probe a common scalar fading process F(t) in TDD fashion and
 obtain noisy estimates; an eavesdropper at distance d observes a spatially
 decorrelated copy of the same process.  The temporal autocorrelation follows
-the Clarke/Jakes model J0(2*pi*fd*tau), and traces are synthesised by
-circulant (FFT) spectral shaping, which is exact for stationary Gaussian
-sequences up to clamping of numerically negative eigenvalues.
+the Clarke/Jakes model J0(2*pi*fd*tau).  Traces are synthesised by the
+IDFT method: complex white noise shaped by the square root of the Jakes
+Doppler spectrum, integrated over each DFT bin and folded modulo the sample
+rate.  The resulting ACF is a sum of cosines weighted by nonnegative bin
+masses, so it is a valid covariance by construction and needs no clamping.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ __all__ = [
     "ChannelParams",
     "FadingTrace",
     "ProbeRecord",
-    "SynthesisError",
     "jakes_acf",
     "gen_fading_trace",
     "probe_sequence",
@@ -31,10 +32,6 @@ __all__ = [
     "write_probe_csv",
     "read_probe_csv",
 ]
-
-
-class SynthesisError(RuntimeError):
-    """Raised when the requested covariance cannot be realised numerically."""
 
 
 @dataclass
@@ -101,50 +98,46 @@ def jakes_acf(tau, fd):
     return j0(2.0 * np.pi * fd * np.asarray(tau, dtype=np.float64))
 
 
-def _circulant_sqrt_spectrum(acf_fn, n, dt):
-    """Eigenvalue square roots of a circulant embedding of the ACF.
+def _jakes_bin_masses(P, fd, N, dt):
+    """Jakes spectral mass of each of the N DFT bins at sample spacing dt.
 
-    Returns (sqrt_eigs, m) where m >= 2n is the embedding size.  Raises
-    SynthesisError when the clamped negative eigenvalue mass exceeds 1% of
-    the total, which signals that the ACF sampled at dt is not close enough
-    to positive definite for this synthesis.
+    Bin j covers the frequencies [(j - 1/2) df, (j + 1/2) df], df = 1/(N dt),
+    and receives the exact integral of the Doppler density
+    P / (pi sqrt(fd^2 - f^2)) over them.  Bins beyond +-1/(2 dt) fold
+    modulo the sample rate onto bin j mod N, as sampling aliases them, so
+    the masses sum to P for any fd.
     """
-    # Grow the embedding until the wrapped ACF stops creating spurious
-    # negative eigenvalues; slowly decaying ACFs need room to decay before
-    # the periodic wrap-around point.
-    m = next_fast_len(max(4 * n, 256))
-    while True:
-        k = np.arange(m)
-        lag = np.minimum(k, m - k) * dt
-        c = acf_fn(lag)
-        eigs = np.fft.fft(c).real
-        neg = -eigs[eigs < 0].sum()
-        total = eigs[eigs > 0].sum()
-        if total > 0 and neg <= 1e-3 * total:
-            break
-        if m >= 1 << 22:
-            if total > 0 and neg <= 0.01 * total:
-                break
-            raise SynthesisError(
-                f"circulant embedding failed: negative eigenvalue mass {neg:.3g} "
-                f"vs total {total:.3g} at embedding size {m}"
-            )
-        m = next_fast_len(2 * m + 1)
-    return np.sqrt(np.maximum(eigs, 0.0) / m), m
+    df = 1.0 / (N * dt)
+    reach = int(np.ceil(fd / df)) + 1
+    masses = np.zeros(N)
+    # one period of bins per pass keeps memory at O(N) when fd >> 1/dt
+    for start in range(-reach, reach + 1, N):
+        j = np.arange(start, min(start + N, reach + 1))
+        edges = np.append(j - 0.5, j[-1] + 0.5) * df
+        cdf = np.arcsin(np.clip(edges / fd, -1.0, 1.0))
+        masses += np.bincount(j % N, weights=np.diff(cdf), minlength=N)
+    return masses * (P / np.pi)
 
 
 @lru_cache(maxsize=1)
 def _fading_spectrum(P, fd, n, dt):
-    """Circulant square-root spectrum of the Jakes ACF P*J0(2*pi*fd*tau).
+    """Square-root Jakes spectrum for an n-sample trace: (amplitudes, N).
+
+    Young & Beaulieu's IDFT method: complex white noise shaped by the
+    square root of the bin-integrated Doppler spectrum at FFT size N.  The
+    synthesised ACF at lag k is sum_j mass_j cos(2 pi j k / N), periodic in
+    N, so N >= 2n keeps every lag of the trace in the first half-period;
+    the 2^18 floor keeps the bins fine for short traces.
 
     The spectrum depends only on (P, fd, n, dt), and a campaign needs it
     twice (Bob's trace and Eve's independent copy), as does every seeded
     repeat of a campaign.  The last one is kept; it is read-only because
     it is shared between calls.
     """
-    sqrt_eigs, m = _circulant_sqrt_spectrum(lambda lag: P * jakes_acf(lag, fd), n, dt)
-    sqrt_eigs.flags.writeable = False
-    return sqrt_eigs, m
+    N = next_fast_len(max(2 * n, 1 << 18))
+    amplitudes = np.sqrt(_jakes_bin_masses(P, fd, N, dt))
+    amplitudes.flags.writeable = False
+    return amplitudes, N
 
 
 def _gaussian_from_spectrum(sqrt_eigs, m, n, rng):

@@ -126,6 +126,13 @@ def _from_flags(factory, *args, **kwargs):
         raise UsageError(str(exc)) from exc
 
 
+def _require_at_least(p, flag: str, low: int) -> None:
+    """A count flag below ``low`` is a bad flag value."""
+    value = p[flag.replace("-", "_")]
+    if value < low:
+        raise UsageError(f"--{flag} must be >= {low}, got {value}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fadekey",
@@ -256,8 +263,9 @@ def _run_capacity(p) -> None:
 
 
 def _run_pe_curve(p) -> None:
-    from .analysis import build_covariance, pe_levelcross
+    from .analysis import MIN_TRIALS, build_covariance, pe_levelcross
 
+    _require_at_least(p, "trials", MIN_TRIALS)
     noise = _snr_to_noise(p["snr_db"])
     rows = []
     for m in p["m"]:
@@ -270,8 +278,9 @@ def _run_pe_curve(p) -> None:
 
 
 def _run_rate_curve(p) -> None:
-    from .analysis import build_covariance, rate_levelcross
+    from .analysis import MIN_TRIALS, build_covariance, rate_levelcross
 
+    _require_at_least(p, "trials", MIN_TRIALS)
     noise = _snr_to_noise(p["snr_db"])
     rows = []
     for i, fs in enumerate(p["fs"]):
@@ -286,13 +295,16 @@ def _run_rate_curve(p) -> None:
 
 
 def _run_mi_estimate(p) -> None:
-    from .analysis import mutual_information_estimate
+    from .analysis import MIN_MI_SAMPLES, mutual_information_estimate
 
     if p["trace"] is not None:
         cols = _read_trace(p["trace"])
         xs, ys = cols["x_hat"], cols["y_hat"]
         source, n = p["trace"], len(xs)
+        if n < MIN_MI_SAMPLES:
+            raise UsageError(f"trace has {n} probes; mi-estimate needs >= {MIN_MI_SAMPLES}")
     else:
+        _require_at_least(p, "n", MIN_MI_SAMPLES)
         rng = np.random.default_rng([p["seed"], 0])
         z = rng.standard_normal((p["n"], 2))
         xs = z[:, 0]
@@ -314,6 +326,7 @@ def _run_levelcross_sim(p) -> None:
                      noise_variance_B=noise, doppler_fd=p["fd"], probe_rate_fs=p["fs"])
     cfg = _from_flags(LevelCrossConfig, alpha=p["alpha"], m=p["m"], window=p["window"],
                       epsilon=p["epsilon"], seed=p["seed"])
+    _require_at_least(p, "n-probes", cfg.window)
     trace = gen_fading_trace(ch, 2 * p["n_probes"], seed=p["seed"])
     record = probe_sequence(trace, ch, seed=p["seed"])
     result = run_protocol(record, cfg)
@@ -339,6 +352,7 @@ def _run_gaussian_rate_curve(p) -> None:
 
     if p["v"] < 1 or p["n"] % p["v"]:
         raise UsageError(f"v={p['v']} must be >= 1 and divide the code length {p['n']}")
+    _require_at_least(p, "blocks", 1)
     for variant in p["variants"]:
         if variant not in ("basic", "overquant", "soft_error"):
             raise UsageError(f"unknown variant {variant!r}")
@@ -412,14 +426,13 @@ _DISPATCH = {
 def run(config: ExperimentConfig) -> int:
     """Dispatch one parsed experiment; returns the process exit code."""
     from .analysis import EstimateInfeasibleError
-    from .channel import SynthesisError
 
     try:
         _DISPATCH[config.subcommand](config.params)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EstimateInfeasibleError, SynthesisError) as exc:
+    except EstimateInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except _IoError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from . import _kernels
 from ._bits import BitString
@@ -211,7 +212,11 @@ def privacy_amplify(bits: BitString, out_len: int, seed: int) -> BitString:
 
     The Toeplitz matrix is defined by a seed-derived random ±diagonal
     vector t of length out_len + len(bits) - 1, T[i, j] = t[i - j + L - 1];
-    the product reduces to one convolution mod 2.
+    the product reduces to one convolution mod 2.  It is computed as an FFT
+    product of size >= len(t): a circular convolution that short wraps
+    only onto indices below L - 1, outside the kept window.  Each kept sum
+    is an integer <= L, and the FFT's rounding error stays far below 1/2,
+    so rounding recovers the sums exactly.
     """
     L = len(bits)
     if out_len > L:
@@ -222,8 +227,10 @@ def privacy_amplify(bits: BitString, out_len: int, seed: int) -> BitString:
         return BitString.zeros(0)
     rng = np.random.default_rng(seed)
     t = rng.integers(0, 2, size=out_len + L - 1, dtype=np.int64)
-    conv = np.convolve(t, bits.to_array().astype(np.int64))
-    return BitString(conv[L - 1 : L - 1 + out_len] & 1)
+    size = next_fast_len(t.size)
+    spectrum = np.fft.rfft(t, size) * np.fft.rfft(bits.to_array(), size)
+    conv = np.rint(np.fft.irfft(spectrum, size)[L - 1 : L - 1 + out_len]).astype(np.int64)
+    return BitString(conv & 1)
 
 
 def to_alist(code: LdpcCode) -> str:

@@ -122,7 +122,7 @@ class TestGenFadingTrace:
         assert np.array_equal(a.samples, b.samples)
 
     def test_cached_spectrum_is_bit_identical(self):
-        # the kept spectrum must equal a fresh embedding exactly, so that
+        # the kept spectrum must equal a fresh computation exactly, so that
         # seeded traces do not depend on what was synthesised before them
         params = _params(P=2.0, N_B=0.1)
         channel._fading_spectrum.cache_clear()
@@ -132,8 +132,10 @@ class TestGenFadingTrace:
         assert channel._fading_spectrum.cache_info().hits >= 2
         assert np.array_equal(cold.samples, warm.samples)
         assert np.array_equal(cold_eve, probe_sequence(warm, params, seed=6).e_hat)
-        fresh, m = channel._circulant_sqrt_spectrum(lambda lag: 2.0 * jakes_acf(lag, 10.0), 4096, 0.005)
         kept, m_kept = channel._fading_spectrum(2.0, 10.0, 4096, 0.005)
+        channel._fading_spectrum.cache_clear()
+        fresh, m = channel._fading_spectrum(2.0, 10.0, 4096, 0.005)
+        assert fresh is not kept
         assert m == m_kept and np.array_equal(fresh, kept)
         assert not kept.flags.writeable
 
@@ -145,6 +147,34 @@ class TestGenFadingTrace:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             gen_fading_trace(_params(), 1, seed=0)
+
+
+class TestSynthesisAcf:
+    """The synthesised ACF, read exactly off the spectrum, against P*J0.
+
+    With amplitudes a at FFT size N the trace's covariance at lag k is
+    sum_j a_j^2 cos(2 pi j k / N) = Re(fft(a^2))[k], so this gate needs no
+    Monte Carlo.  (fd, fs) = (10, 9) undersamples the Doppler band and
+    checks the fold; fd = 1e-9 puts the whole band inside one bin.
+    """
+
+    @pytest.mark.parametrize("n", [16, 512, 4096, 100_000, 200_000])
+    @pytest.mark.parametrize("fd, fs", [(10.0, 100.0), (10.0, 50.0), (10.0, 1000.0), (10.0, 9.0), (1e-9, 100.0)])
+    def test_acf_error_bound(self, n, fd, fs):
+        P, dt = 1.5, 1.0 / (2.0 * fs)
+        amp, N = channel._fading_spectrum(P, fd, n, dt)
+        assert N >= 2 * n
+        mass = amp**2
+        assert abs(mass.sum() - P) <= 1e-12 * P
+        err = np.abs(np.fft.fft(mass).real[:n] - P * jakes_acf(np.arange(n) * dt, fd))
+        assert err[: min(n - 1, 1000) + 1].max() <= 1e-4 * P
+        assert err.max() <= 1e-2 * P
+
+    def test_acf_error_at_campaign_setting(self):
+        # 100k probe pairs at fd = 10 Hz, fs = 100 probes/s, P = 1
+        amp, _ = channel._fading_spectrum(1.0, 10.0, 200_000, 0.005)
+        acf = np.fft.fft(amp**2).real[:1001]
+        assert np.abs(acf - jakes_acf(np.arange(1001) * 0.005, 10.0)).max() <= 1e-5
 
 
 class TestProbeSequence:

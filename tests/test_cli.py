@@ -192,6 +192,15 @@ class TestMiEstimate:
         assert abs(float(mi) - 1.2) < 0.15
         assert degen == "0"
 
+    def test_short_trace_exits_usage(self, tmp_path):
+        params = ChannelParams(signal_variance_P=1.0, noise_variance_A=0.01,
+                               noise_variance_B=0.01, doppler_fd=10.0, probe_rate_fs=100.0)
+        tr = gen_fading_trace(params, 100, seed=1)
+        trace = tmp_path / "short.csv"
+        write_probe_csv(trace, tr, probe_sequence(tr, params, seed=2))
+        assert main(["mi-estimate", "--trace", str(trace),
+                     "--out", str(tmp_path / "mi.csv")]) == EXIT_USAGE
+
 
 class TestUniversalSim:
     def test_accepts_external_trace(self, tmp_path):
@@ -246,6 +255,19 @@ class TestExitCodes:
         monkeypatch.setattr("fadekey.levelcross.run_protocol", broken)
         with pytest.raises(ValueError, match="internal fault"):
             main(["levelcross-sim", "--n-probes", "300", "--out", str(tmp_path / "lc.json")])
+
+    @pytest.mark.parametrize("argv", [
+        ["pe-curve", "--trials", "10", "--m", "2"],
+        ["rate-curve", "--trials", "9999", "--fs", "100"],
+        ["mi-estimate", "--n", "5"],
+        ["levelcross-sim", "--n-probes", "0"],
+        ["levelcross-sim", "--n-probes", "1"],
+        ["gaussian-rate-curve", "--snr-db", "10", "--blocks", "0", "--n", "8"],
+    ], ids=["pe-trials", "rate-trials", "mi-n", "lc-probes-0", "lc-probes-1", "grc-blocks"])
+    def test_count_below_minimum_exits_usage(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert "must be >=" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_output(self):
         assert main(["capacity", "--snr-db", "5",

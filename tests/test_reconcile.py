@@ -274,6 +274,31 @@ class TestPrivacyAmplify:
         T = np.array([[t[i - j + L - 1] for j in range(L)] for i in range(out_len)])
         assert out.to_array().tolist() == ((T @ bits) % 2).tolist()
 
+    @pytest.mark.parametrize("L", [1, 2, 7, 1000, 12_311, 200_000])
+    @pytest.mark.parametrize("part", ["zero", "one", "fifth", "all"])
+    def test_fft_product_matches_direct_convolution(self, L, part):
+        # the hash's Toeplitz product against the direct integer convolution
+        # it replaced: conv(t, x)[L-1 : L-1+out_len] mod 2, bit for bit.
+        # Row block [i0, i1) of it is np.convolve(t[i0 : i1+L-1], x, "valid").
+        # A full direct product at L = 200k takes ~40 s, so above 2e8 cells
+        # the reference covers 1024-row blocks at the start, middle and end.
+        out_len = {"zero": 0, "one": 1, "fifth": L // 5, "all": L}[part]
+        rng = np.random.default_rng([L, out_len])
+        x = rng.integers(0, 2, size=L, dtype=np.int64)
+        out = privacy_amplify(BitString(x), out_len, seed=L + out_len).to_array()
+        assert out.size == out_len
+        t = np.random.default_rng(L + out_len).integers(0, 2, size=out_len + L - 1, dtype=np.int64)
+        if out_len == 0:
+            blocks = []
+        elif L * out_len <= 2e8:
+            blocks = [(0, out_len)]
+        else:
+            mid = out_len // 2
+            blocks = [(0, 1024), (mid - 512, mid + 512), (out_len - 1024, out_len)]
+        for i0, i1 in blocks:
+            ref = np.convolve(t[i0 : i1 + L - 1], x, "valid") & 1
+            assert np.array_equal(out[i0:i1], ref)
+
     def test_collision_rate_matches_universal_hash_bound(self):
         # for fixed distinct inputs, a random Toeplitz hash collides with
         # probability exactly 2^-out_len
