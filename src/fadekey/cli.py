@@ -201,29 +201,24 @@ def _emit_csv(out_path, header, rows, meta: str, summary: str) -> None:
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     lines.append(meta)
-    text = "\n".join(lines) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _IoError(str(exc)) from exc
-        print(summary)
+    _emit("\n".join(lines) + "\n", out_path, summary)
 
 
 def _emit_json(out_path, payload: dict, summary: str) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path, summary)
+
+
+def _emit(text: str, out_path, summary: str) -> None:
+    """Write text to out_path and print the summary; stdout when out_path is None."""
     if out_path is None:
         sys.stdout.write(text)
-    else:
-        try:
-            with open(out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _IoError(str(exc)) from exc
-        print(summary)
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _IoError(str(exc)) from exc
+    print(summary)
 
 
 class _IoError(Exception):

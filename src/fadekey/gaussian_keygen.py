@@ -139,46 +139,58 @@ def quantize_and_code(xs, spec: QuantizerSpec):
     return regular, over
 
 
-def _log_cell_probs(ys: np.ndarray, spec: QuantizerSpec, P, N) -> np.ndarray:
-    """(n, n_cells) matrix of ln Pr(cell | y) under X|Y=y.
+def _over_patterns(over_bits, n: int, m_over: int) -> np.ndarray:
+    """Each of n samples' m_over published bits packed MSB-first into one integer."""
+    bits = np.asarray(over_bits, dtype=np.int64).reshape(n, m_over)
+    return bits @ (1 << np.arange(m_over - 1, -1, -1))
 
-    X | Y=y is N((P/(P+N)) y, (2PN + N^2)/(P+N)); cell masses are tail
-    differences evaluated in log space so deep-tail cells stay usable.
+
+def _consistent_cells(spec: QuantizerSpec) -> np.ndarray:
+    """(2^m_over, 2^v) table: the cell whose Gray word is (kept << m_over) | pattern.
+
+    The Gray map is a bijection, so a published pattern leaves exactly 2^v
+    candidate cells, one per kept codeword.
     """
-    mu = (P / (P + N)) * ys
+    j = np.arange(spec.n_cells)
+    inverse_gray = np.empty_like(j)
+    inverse_gray[j ^ (j >> 1)] = j
+    kept = np.arange(2**spec.v)
+    patterns = np.arange(2**spec.m_over)
+    return inverse_gray[(kept[None, :] << spec.m_over) | patterns[:, None]]
+
+
+def _log_cell_probs(ys: np.ndarray, spec: QuantizerSpec, P, N, patterns: np.ndarray) -> np.ndarray:
+    """(n, 2^v) matrix of ln Pr(cell | y) over each sample's consistent cells.
+
+    Column c is the cell with kept Gray codeword c and the sample's
+    published pattern.  X | Y=y is N((P/(P+N)) y, (2PN + N^2)/(P+N)); cell
+    masses are tail differences evaluated in log space so deep-tail cells
+    stay usable.
+    """
+    cells = _consistent_cells(spec)[patterns]
+    mu = ((P / (P + N)) * ys)[:, None]
     sigma = np.sqrt((2.0 * P * N + N * N) / (P + N))
-    a = (spec.boundaries[None, :] - mu[:, None]) / sigma
-    ls = log_ndtr(-a)  # ln Q(a), decreasing in a
-    diff = ls[:, 1:] - ls[:, :-1]  # <= 0
+    ls_lo = log_ndtr(-(spec.boundaries[cells] - mu) / sigma)  # ln Q(a), decreasing in a
+    ls_hi = log_ndtr(-(spec.boundaries[cells + 1] - mu) / sigma)
     with np.errstate(divide="ignore", invalid="ignore"):
-        logp = ls[:, :-1] + np.log(-np.expm1(diff))
+        logp = ls_lo + np.log(-np.expm1(ls_hi - ls_lo))
     # cells whose upper tails coincide in floating point get zero mass
     return np.where(np.isnan(logp), -np.inf, logp)
 
 
-def _llr_from_logp(logp: np.ndarray, spec: QuantizerSpec, over_patterns: np.ndarray) -> np.ndarray:
-    """Per-bit LLRs for a batch given log cell masses and announced over-bits.
+def _llr_from_logp(logp: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
+    """Per-bit LLRs from (n, 2^v) log masses indexed by kept codeword.
 
-    over_patterns holds each sample's published bits packed as an integer
-    (0 when m_over == 0).  Returns an (n, v) array clamped to +/-LLR_CLAMP.
+    Returns an (n, v) array clamped to +/-LLR_CLAMP.
     """
-    table = _gray_bit_table(spec.total_bits)
-    if spec.m_over:
-        weights = 1 << np.arange(spec.m_over - 1, -1, -1)
-        cell_pattern = table[:, spec.v :].astype(np.int64) @ weights
-    else:
-        cell_pattern = np.zeros(spec.n_cells, dtype=np.int64)
     n = logp.shape[0]
     out = np.empty((n, spec.v))
-    for pat in np.unique(over_patterns):
-        rows = np.flatnonzero(over_patterns == pat)
-        consistent = cell_pattern == pat
-        for i in range(spec.v):
-            zero_cells = consistent & (table[:, i] == 0)
-            one_cells = consistent & (table[:, i] == 1)
-            lse0 = logsumexp(logp[np.ix_(rows, np.flatnonzero(zero_cells))], axis=1)
-            lse1 = logsumexp(logp[np.ix_(rows, np.flatnonzero(one_cells))], axis=1)
-            out[rows, i] = lse0 - lse1
+    for i in range(spec.v):
+        # codeword bit i (MSB first) splits the columns into 2^i blocks of
+        # 2^(v-i) whose first halves have the bit 0 and second halves 1
+        lse = logsumexp(logp.reshape(n, 2**i, 2, -1), axis=(1, 3))
+        with np.errstate(invalid="ignore"):  # both sides massless: nan, read as 0 below
+            out[:, i] = lse[:, 0] - lse[:, 1]
     return np.clip(np.nan_to_num(out, nan=0.0, posinf=LLR_CLAMP, neginf=-LLR_CLAMP), -LLR_CLAMP, LLR_CLAMP)
 
 
@@ -197,11 +209,8 @@ def llr_overquantized(y, over_bits_for_sample, spec: QuantizerSpec, P, N) -> np.
     )
     if over.size != spec.m_over:
         raise ValueError("announced bits must have length m_over")
-    pattern = 0
-    for b in over:
-        pattern = (pattern << 1) | int(b)
-    logp = _log_cell_probs(np.atleast_1d(np.float64(y)), spec, P, N)
-    return _llr_from_logp(logp, spec, np.array([pattern]))[0]
+    logp = _log_cell_probs(np.atleast_1d(np.float64(y)), spec, P, N, _over_patterns(over, 1, spec.m_over))
+    return _llr_from_logp(logp, spec)[0]
 
 
 def cdf_transform_error(x, v: int, variance) -> np.ndarray | float:
@@ -228,20 +237,23 @@ def llr_soft_error(y, e, v: int, P, N) -> np.ndarray:
     Phi^-1(e + (j - 1/2)/2^v); the LLR of bit i sums h(e,j,y) over cells
     with that bit equal to 1 minus those with it equal to 0, where
     h(e,j,y) = ((P+N)/(2(2PN+N^2))) (Phi^-1(e + (j-1/2)/2^v) - (P/(P+N))y)^2.
-    Calibrated for P + N = 1; callers normalize first.
+    Calibrated for P + N = 1; callers normalize first.  y and e broadcast
+    against each other; the result has their shape plus a trailing axis of
+    length v.
     """
     if N <= 0:
         raise ValueError("N must be positive")
-    if abs(e) > 2.0 ** -(v + 1) + 1e-15:
+    e = np.asarray(e, dtype=np.float64)
+    if np.any(np.abs(e) > 2.0 ** -(v + 1) + 1e-15):
         raise ValueError("|e| must not exceed 2^-(v+1)")
     kappa = (P + N) / (2.0 * (2.0 * P * N + N * N))
-    mu = (P / (P + N)) * y
+    mu = (P / (P + N)) * np.asarray(y, dtype=np.float64)
     j = np.arange(1, 2**v + 1)
-    args = np.clip(e + (j - 0.5) / 2.0**v, _PPF_EPS, 1.0 - _PPF_EPS)
-    h = kappa * (ndtri(args) - mu) ** 2
+    args = np.clip(e[..., None] + (j - 0.5) / 2.0**v, _PPF_EPS, 1.0 - _PPF_EPS)
+    h = kappa * (ndtri(args) - mu[..., None]) ** 2
     table = _gray_bit_table(v)
     signs = np.where(table == 0, -1.0, 1.0)  # cell j has row j-1
-    return np.clip(signs.T @ h, -LLR_CLAMP, LLR_CLAMP)
+    return np.clip(h @ signs, -LLR_CLAMP, LLR_CLAMP)
 
 
 @dataclass
@@ -299,22 +311,10 @@ def run_gaussian_system(config: GaussianConfig) -> SecretKeyOutcome:
         errors = cdf_transform_error(xs, v, total_var)
         p_unit = config.P / total_var
         n_unit = config.N / total_var
-        y_unit = ys / np.sqrt(total_var)
-        llr = np.empty((n, v))
-        for i in range(n):
-            llr[i] = llr_soft_error(y_unit[i], errors[i], v, p_unit, n_unit)
+        llr = llr_soft_error(ys / np.sqrt(total_var), errors, v, p_unit, n_unit)
     else:
-        patterns = np.zeros(n, dtype=np.int64)
-        if config.m_over:
-            over_mat = over_bits.to_array().reshape(n, config.m_over).astype(np.int64)
-            weights = 1 << np.arange(config.m_over - 1, -1, -1)
-            patterns = over_mat @ weights
-        llr = np.empty((n, v))
-        chunk = max(1, 2**22 // spec.n_cells)
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            logp = _log_cell_probs(ys[lo:hi], spec, config.P, config.N)
-            llr[lo:hi] = _llr_from_logp(logp, spec, patterns[lo:hi])
+        patterns = _over_patterns(over_bits.to_array(), n, config.m_over)
+        llr = _llr_from_logp(_log_cell_probs(ys, spec, config.P, config.N, patterns), spec)
 
     result = decode_syndrome(config.code, syn, llr.reshape(-1))
     if result.success:

@@ -83,7 +83,7 @@ class SecretKeyOutcome:
     decode_success: bool
     iterations: int
     bit_agreement: float  # fraction of Bob's decoded bits matching Alice's
-    net_bits: int  # |key material| - |syndrome| - amplification margin; 0 on failure
+    net_bits: int  # |key material| - |syndrome| (no leftover-hash margin is charged); 0 on failure
     net_rate_bits_per_sample: float
 
 

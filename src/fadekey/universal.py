@@ -163,7 +163,6 @@ class UniversalConfig:
     seed: int = 0
     xs: np.ndarray | None = None  # custom trace, Alice side
     ys: np.ndarray | None = None  # custom trace, Bob side
-    eve: np.ndarray | None = None  # eavesdropper samples; enables leakage margin
 
     def __post_init__(self):
         if self.A is not None and self.A < self.v:
@@ -176,9 +175,8 @@ def run_universal_system(config: UniversalConfig) -> SecretKeyOutcome:
     Alice fixed-point-converts her samples, quantizes to v Gray bits each,
     and publishes the block syndrome together with all quantization errors.
     Bob converts his own samples, forms heuristic LLRs from (V, E), and
-    decodes Alice's bit block from the syndrome.  Net secret bits are the
-    block length minus the syndrome length minus a leakage margin when
-    eavesdropper samples are supplied.
+    decodes Alice's bit block from the syndrome.  Net secret bits on success
+    are the block length minus the syndrome length.
     """
     v, n = config.v, config.n_samples
     A = config.A if config.A is not None else v + 2
@@ -208,14 +206,8 @@ def run_universal_system(config: UniversalConfig) -> SecretKeyOutcome:
 
     agreement = x_b.agreement(result.bits)
     revealed = len(syn)
-    leak = 0
-    if config.eve is not None:
-        from .analysis import mutual_information_estimate
-
-        mi = mutual_information_estimate(np.asarray(config.eve, dtype=np.float64)[:n], xs)
-        leak = math.ceil(max(mi.bits, 0.0) * n)
     if result.success:
-        net = max(n * v - revealed - leak, 0)
+        net = n * v - revealed
         key = privacy_amplify(x_b, net, seed=[config.seed, 7]) if net else BitString.zeros(0)
     else:
         net = 0

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_ndtr, logsumexp
 from scipy.stats import chi2_contingency, kstest, norm
 
+from fadekey import gaussian_keygen
 from fadekey._bits import BitString
 from fadekey.channel import gen_iid_gaussian_source
 from fadekey.gaussian_keygen import (
@@ -253,11 +255,41 @@ class TestLlrOverquantized:
     def test_batch_path_matches_scalar(self, spec11):
         ys = np.linspace(-2.5, 2.5, 21)
         patterns = np.tile([0, 1], 11)[:21]
-        logp = _log_cell_probs(ys, spec11, self.P, self.N)
-        batch = _llr_from_logp(logp, spec11, patterns)
+        batch = _llr_from_logp(_log_cell_probs(ys, spec11, self.P, self.N, patterns), spec11)
         for row, (y, pat) in enumerate(zip(ys, patterns)):
             single = llr_overquantized(y, np.array([pat]), spec11, self.P, self.N)
             np.testing.assert_allclose(batch[row], single, rtol=1e-12)
+
+    @pytest.mark.parametrize("v, m_over", [(1, 0), (1, 1), (2, 3), (4, 8)])
+    def test_consistent_cells_match_full_cell_sum(self, v, m_over, monkeypatch):
+        # reference: masses of all 2^(v+m_over) cells, summed over the cells
+        # whose Gray word carries the sample's published pattern, compared
+        # before the clamp
+        monkeypatch.setattr(gaussian_keygen, "LLR_CLAMP", np.inf)
+        spec = make_quantizer(self.P + self.N, v, m_over)
+        k = v + m_over
+        words = np.array([gray_encode(c, k).to_array() for c in range(2**k)])
+        word_patterns = words[:, v:] @ (1 << np.arange(m_over - 1, -1, -1))
+        ys = np.repeat([-40.0, -2.0, 0.0, 0.7, 40.0], 2**m_over)
+        patterns = np.tile(np.arange(2**m_over), 5)
+
+        mu = self.P / (self.P + self.N) * ys
+        sigma = np.sqrt((2 * self.P * self.N + self.N**2) / (self.P + self.N))
+        upper = log_ndtr(-(spec.boundaries[None, :] - mu[:, None]) / sigma)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mass = upper[:, :-1] + np.log(-np.expm1(upper[:, 1:] - upper[:, :-1]))
+        mass = np.where(np.isnan(mass), -np.inf, mass)
+        want = np.empty((ys.size, v))
+        for row in range(ys.size):
+            consistent = word_patterns == patterns[row]
+            for i in range(v):
+                lse0 = logsumexp(mass[row, consistent & (words[:, i] == 0)])
+                lse1 = logsumexp(mass[row, consistent & (words[:, i] == 1)])
+                # both sides massless in floating point: no information
+                want[row, i] = lse0 - lse1 if max(lse0, lse1) > -np.inf else 0.0
+
+        got = _llr_from_logp(_log_cell_probs(ys, spec, self.P, self.N, patterns), spec)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
 
 
 class TestCdfTransformError:
@@ -363,6 +395,16 @@ class TestLlrSoftError:
             llr_soft_error(0.0, 0.0, 1, 1.0, 0.0)
         with pytest.raises(ValueError, match="e"):
             llr_soft_error(0.0, 0.3, 1, self.P, self.N)
+
+    @pytest.mark.parametrize("v", [1, 2, 3])
+    def test_arrays_match_scalar_calls(self, v):
+        rng = np.random.default_rng(v)
+        ys = rng.normal(0.0, 1.0, 50)
+        es = rng.uniform(-(2.0 ** -(v + 1)), 2.0 ** -(v + 1), 50)
+        got = llr_soft_error(ys, es, v, self.P, self.N)
+        assert got.shape == (50, v)
+        for row, (y, e) in enumerate(zip(ys, es)):
+            np.testing.assert_allclose(got[row], llr_soft_error(y, e, v, self.P, self.N), rtol=0, atol=1e-12)
 
 
 class TestRunGaussianSystem:
@@ -518,8 +560,7 @@ class TestStatisticalInvariants:
         reg, over = quantize_and_code(xs, spec)
         bits = reg.to_array().reshape(n, 2).reshape(-1)
         patterns = over.to_array().astype(np.int64)
-        logp = _log_cell_probs(ys, spec, self.P, self.N)
-        llr = _llr_from_logp(logp, spec, patterns).reshape(-1)
+        llr = _llr_from_logp(_log_cell_probs(ys, spec, self.P, self.N, patterns), spec).reshape(-1)
         pred_p1 = 1.0 / (1.0 + np.exp(llr))
         idx = np.clip(np.digitize(pred_p1, np.linspace(0, 1, 11)) - 1, 0, 9)
         checked = 0
