@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +65,29 @@ class TestBitString:
 # ------------------------------------------------------------ construction
 
 
+# sha256 of to_alist(ldpc_generate(n, seed)), recorded from the original
+# construction (full-graph BFS per edge); any rewrite must grow the same codes
+PEG_DIGESTS = {
+    (8, 1): "0eeca1fb85547679b81cfd9ce3610c53eee2222849aa3e7d95d155dbd07736dd",
+    (8, 2): "9e1831c62556f1f580ef44f7cc197d0a5d939d39d1439a553ea6ec89509e243b",
+    (8, 3): "b006427a4ba01d0ce93b83e2469edb15907d9f40a359b275d661c71f1453e0c6",
+    (48, 1): "f17ece93ebb1c5754fb27067f64b9615e4a88b01de0ad9b32390ffec2c17f837",
+    (48, 2): "96a9890a6ad89c3627772aba7390ff4326978a9c85acb3993d84ccca6e5fc78c",
+    (48, 3): "ab3d558457168e44a47bd4c97822adf3f6f735ee9ce663bd1951507ff610a995",
+    (400, 1): "3ef90db58d846a740344bb0a7d940fa3390c6adff89f0a0b15fa737d0fde0847",
+    (400, 2): "dc3c4883ccb61dc17325a2cd7b9c995de001fb1aae2d678732c96bf1ee7f5805",
+    (400, 3): "5878d2fdf1e3a110fd9359262545708edbe7b0c687afa578502686e51a3c64e8",
+    (1024, 1): "ac432b7236a1bd328ed1834ff1e41e6b29b87f75c160b33ac81716fbda32e555",
+    (1024, 2): "ac75f419dafaffade49a2b356f349b979535f1e55df87b7dc010c97fa16ef45f",
+    (1024, 3): "db34e178d98569b9290f480cf2db803158c3c5138a537e922be5938bea13b8f3",
+    (4096, 4096): "260d948b5f417c787e0ff62ec101f82353f52a7505c78611638f5d3a68c9139e",
+}
+
+
+def _alist_digest(code):
+    return hashlib.sha256(to_alist(code).encode()).hexdigest()
+
+
 class TestLdpcGenerate:
     def test_shape_and_degrees_n400(self, code400):
         assert code400.n == 400
@@ -96,6 +121,13 @@ class TestLdpcGenerate:
                     pair = (int(row[i]), int(row[j]))
                     assert pair not in seen, f"4-cycle: checks {seen.get(pair)} and {c}"
                     seen[pair] = c
+
+    def test_code4096_matches_recorded_digest(self, code4096):
+        assert _alist_digest(code4096) == PEG_DIGESTS[(4096, 4096)]
+
+    @pytest.mark.parametrize("n, seed", [k for k in PEG_DIGESTS if k[0] < 4096])
+    def test_matches_recorded_digest(self, n, seed):
+        assert _alist_digest(ldpc_generate(n, seed)) == PEG_DIGESTS[(n, seed)]
 
     def test_infeasible_n_rejected(self):
         with pytest.raises(ConstructionError):
