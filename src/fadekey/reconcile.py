@@ -101,24 +101,17 @@ def ldpc_generate(n: int, seed: int) -> LdpcCode:
     rng = np.random.default_rng(seed)
 
     chk_nbrs = np.full((m, CHECK_DEGREE), -1, dtype=np.int64)
-    var_nbrs = np.full((n, VAR_DEGREE), -1, dtype=np.int64)
+    # row n is a dummy all -1 row: the -1 of an empty check slot indexes it
+    var_nbrs = np.full((n + 1, VAR_DEGREE), -1, dtype=np.int64)
     chk_deg = np.zeros(m, dtype=np.int64)
 
     for v in range(n):
         for k in range(VAR_DEGREE):
-            is_nbr = np.zeros(m, dtype=bool)
-            cur = var_nbrs[v, :k]
-            is_nbr[cur] = True
-            cand = np.flatnonzero((chk_deg < CHECK_DEGREE) & ~is_nbr)
-            if cand.size == 0:
+            is_open = chk_deg < CHECK_DEGREE
+            is_open[var_nbrs[v, :k]] = False
+            if not is_open.any():
                 raise ConstructionError(f"no attachable check for variable {v}")
-            if k > 0:
-                dist = _bfs_check_distances(v, var_nbrs, chk_nbrs, m, n)
-                d = dist[cand]
-                unreachable = cand[d < 0]
-                pool = unreachable if unreachable.size else cand[d == d.max()]
-            else:
-                pool = cand
+            pool = _farthest_open_checks(v, var_nbrs, chk_nbrs, is_open)
             degs = chk_deg[pool]
             pool = pool[degs == degs.min()]
             c = int(pool[rng.integers(pool.size)])
@@ -131,27 +124,35 @@ def ldpc_generate(n: int, seed: int) -> LdpcCode:
     return LdpcCode(n=n, chk_nbrs=np.sort(chk_nbrs, axis=1))
 
 
-def _bfs_check_distances(v, var_nbrs, chk_nbrs, m, n):
-    """Distances (in edges) from variable ``v`` to every check; -1 = unreachable."""
-    dist = np.full(m, -1, dtype=np.int64)
-    var_seen = np.zeros(n, dtype=bool)
-    var_seen[v] = True
-    frontier = np.array([v], dtype=np.int64)
-    d = 1
-    while frontier.size:
-        cs = var_nbrs[frontier].ravel()
-        cs = np.unique(cs[cs >= 0])
-        cs = cs[dist[cs] < 0]
-        if cs.size == 0:
-            break
-        dist[cs] = d
-        vs = chk_nbrs[cs].ravel()
-        vs = np.unique(vs[vs >= 0])
-        vs = vs[~var_seen[vs]]
-        var_seen[vs] = True
-        frontier = vs
-        d += 2
-    return dist
+def _farthest_open_checks(v, var_nbrs, chk_nbrs, is_open):
+    """The open checks farthest from variable ``v``, ascending.
+
+    A check is open (``is_open``) if it is not full and not yet a neighbour
+    of ``v``.  Breadth-first search over the checks, one level per
+    check -> variable -> check step.  If some open checks stay unreachable,
+    those are the pool; otherwise the search stops at the level where the
+    last open check is reached, and the pool is the open checks first
+    reached there.  An empty slot (-1) of ``chk_nbrs`` picks the dummy
+    all -1 last row of ``var_nbrs``, and a -1 check picks the padding slot
+    of ``seen``, which is always set, so empty slots are never followed.
+    """
+    m = is_open.size
+    seen = np.zeros(m + 1, dtype=bool)
+    seen[m] = True
+    unreached = is_open.copy()
+    cs = var_nbrs[v]
+    while True:
+        # a mask frontier drops repeats and comes out in ascending order
+        level = np.zeros(m + 1, dtype=bool)
+        level[cs] = True
+        level &= ~seen
+        if not level.any():
+            return np.flatnonzero(unreached)
+        seen |= level
+        unreached &= ~level[:m]
+        if not unreached.any():
+            return np.flatnonzero(level[:m] & is_open)
+        cs = var_nbrs[chk_nbrs[level[:m]]].ravel()
 
 
 def block_traces(code: LdpcCode, v: int, n: int, xs, ys):

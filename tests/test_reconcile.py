@@ -129,11 +129,56 @@ class TestLdpcGenerate:
     def test_matches_recorded_digest(self, n, seed):
         assert _alist_digest(ldpc_generate(n, seed)) == PEG_DIGESTS[(n, seed)]
 
+    def test_no_four_cycles_at_benchmark_size(self, code4096):
+        # every check's 15 variable pairs, each encoded as one integer, are
+        # distinct across checks exactly when no two checks share two variables
+        i, j = np.triu_indices(6, k=1)
+        rows = code4096.chk_nbrs
+        keys = (rows[:, i] * code4096.n + rows[:, j]).ravel()
+        assert np.unique(keys).size == keys.size == 15 * code4096.n_checks
+
     def test_infeasible_n_rejected(self):
         with pytest.raises(ConstructionError):
             ldpc_generate(10, seed=0)
         with pytest.raises(ConstructionError):
             ldpc_generate(4, seed=0)
+
+
+def _partial_graph(n, m, edges):
+    """Neighbour tables of a partial Tanner graph as ldpc_generate keeps them."""
+    chk_nbrs = np.full((m, 6), -1, dtype=np.int64)
+    var_nbrs = np.full((n + 1, 3), -1, dtype=np.int64)
+    for v, c in edges:
+        var_nbrs[v, np.flatnonzero(var_nbrs[v] < 0)[0]] = c
+        chk_nbrs[c, np.flatnonzero(chk_nbrs[c] < 0)[0]] = v
+    return var_nbrs, chk_nbrs
+
+
+class TestFarthestOpenChecks:
+    # a tree from variable 0: check 0 at distance 1, checks 1 and 2 at
+    # distance 3, checks 3 and 4 at distance 5; check 5 has no edges
+    EDGES = [(0, 0), (1, 0), (2, 0), (1, 1), (2, 2), (3, 1), (4, 2), (3, 3), (4, 4)]
+
+    def _pool(self, open_checks):
+        var_nbrs, chk_nbrs = _partial_graph(6, 6, self.EDGES)
+        is_open = np.zeros(6, dtype=bool)
+        is_open[open_checks] = True
+        return reconcile._farthest_open_checks(0, var_nbrs, chk_nbrs, is_open).tolist()
+
+    def test_unreachable_open_checks_win(self):
+        assert self._pool([1, 3, 5]) == [5]
+        assert self._pool([1, 2, 3, 4, 5]) == [5]
+
+    def test_all_reachable_returns_the_farthest_level(self):
+        assert self._pool([1, 3, 4]) == [3, 4]
+        assert self._pool([4, 1]) == [4]
+        assert self._pool([2, 1]) == [1, 2]
+
+    def test_no_edges_yet_returns_every_open_check(self):
+        var_nbrs, chk_nbrs = _partial_graph(6, 6, [])
+        is_open = np.array([True, False, True, True, False, True])
+        pool = reconcile._farthest_open_checks(0, var_nbrs, chk_nbrs, is_open)
+        assert pool.tolist() == [0, 2, 3, 5]
 
 
 # ---------------------------------------------------------------- syndrome
