@@ -5,6 +5,7 @@ the heuristic-LLR worked values are checked bit-exactly with rational
 arithmetic.
 """
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, norm
 
+from fadekey import universal
 from fadekey.universal import (
     UniversalConfig,
     bin_counts,
@@ -232,7 +234,53 @@ class TestRescaleLlr:
             rescale_llr(np.array([0.1]), 0.0)
 
 
+# sha256 over (decoder LLR bytes, key bytes, repr of (iterations,
+# bit_agreement, net_bits, revealed_bits, decode_success)) of one block on
+# code400, recorded from the per-sample scalar implementation; keyed by
+# (v, snr_db, seed, A) with A = None selecting v + 2
+BLOCK_DIGESTS = {
+    (1, 5.0, 0, None): "8d2ec894053477110e06b8dff142457a1be6163b4652edab4f86bf6b49e565b9",
+    (1, 5.0, 1, None): "e19f965baad15dd6e36600ada4e9fcc754cbfa06cfe12d7e711eb8d20c96fe6c",
+    (1, 15.0, 0, None): "2a0f5814ef07ef40148b0db6c6243647d2a07a53d844ccdda95a7385d75d8790",
+    (1, 15.0, 1, None): "79774be8106439ebbf6266beb074370e8e862a2faac97c554ca3a7957ea10d57",
+    (1, 25.0, 0, None): "7d6fb0595cae340959472947712c92788a4d53bcfe49135ede3511bf01266cac",
+    (1, 25.0, 1, None): "66e36f8ddb27496a68b878622a2da22bbbd66e843e2db0ef7ca40d19c8f08fd8",
+    (2, 5.0, 0, None): "3ea1ad08393ecf20af234f68864bea62646a72ed1ffb889766094e2e8c982942",
+    (2, 5.0, 1, None): "7fc8a2386378cf562d9eb57df893cf1eb8120c4300eaebdd3bafea726258ceb4",
+    (2, 15.0, 0, None): "c08be911c748b4556fe9583b42e84dbb5d16e4e8f55253528eae0b47a5e6b9c9",
+    (2, 15.0, 1, None): "9173213aaffc4e6f5e4a3d42873fe2dc91007f827cdbc46e1937115df2dda421",
+    (2, 25.0, 0, None): "cf3573e12bbf2ddebfbe9ede60ec989aafe4293f6ba03115f44c01d5ecf228e8",
+    (2, 25.0, 1, None): "80380a52ecc2e17a5c5160af6583e8e21209700403c5f0e956f3575a8aac9458",
+    (4, 5.0, 0, None): "05ffa2880058a8b11fcf1a35dc88e92b4456e6d7ab722967e8cbea0d733ae612",
+    (4, 5.0, 1, None): "88910cb98741a91d69427f968b94f1839d37c455a888a42039e5a7baaaecdc45",
+    (4, 15.0, 0, None): "e7ebc028641b39ae2fb083f0302bd552ffd415690b596cbf2cbd2972eec5f40e",
+    (4, 15.0, 1, None): "97afbdced202dd0dc51f24b251f21031201482150d6d98899ec03910673ba130",
+    (4, 25.0, 0, None): "7745ea698179d51e2ba81b4b129ba9dab84f258f737f9623b6f0d9f2f4045f0d",
+    (4, 25.0, 1, None): "3967ff40339ba1f416329f3f3a74e1d789dee24dd491c9018a77f042b3dceb6f",
+    (2, 15.0, 3, 5): "c9759c5e13f3df6721a897bfc9d1f59bb952de0eaf40aa7e8a73e31ec5131c04",
+}
+
+
 class TestRunUniversalSystem:
+    @pytest.mark.parametrize("v, snr_db, seed, A", list(BLOCK_DIGESTS))
+    def test_block_matches_recorded_digest(self, code400, monkeypatch, v, snr_db, seed, A):
+        llrs = []
+        decode = universal.decode_syndrome
+
+        def capture(code, syn, llr):
+            llrs.append(np.asarray(llr, dtype=np.float64).tobytes())
+            return decode(code, syn, llr)
+
+        monkeypatch.setattr(universal, "decode_syndrome", capture)
+        cfg = UniversalConfig(v=v, n_samples=code400.n // v, code=code400, A=A,
+                              snr_db=snr_db, seed=seed)
+        out = run_universal_system(cfg)
+        h = hashlib.sha256(llrs[0])
+        h.update(out.key_bits.to_bytes())
+        h.update(repr((out.iterations, out.bit_agreement, out.net_bits, out.revealed_bits,
+                       out.decode_success)).encode())
+        assert h.hexdigest() == BLOCK_DIGESTS[(v, snr_db, seed, A)]
+
     def test_high_snr_block_yields_full_net_rate(self, code400):
         cfg = UniversalConfig(v=2, n_samples=200, code=code400, snr_db=25.0, seed=5)
         out = run_universal_system(cfg)
