@@ -1,7 +1,19 @@
-"""Packed GF(2) bit vectors: quantized bits, syndromes, keys, MAC tags."""
+"""Packed GF(2) bit vectors (quantized bits, syndromes, keys, MAC tags) and the
+Gray codeword map the quantizers share."""
 from __future__ import annotations
 
 import numpy as np
+
+
+def gray_codewords(cells, width: int) -> np.ndarray:
+    """Reflected-binary codewords of integer cell indices, most significant bit first.
+
+    Returns uint8 0/1 values with the shape of ``cells`` plus a trailing
+    axis of length ``width``.
+    """
+    g = np.asarray(cells).astype(np.int64)
+    g ^= g >> 1
+    return ((g[..., None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
 
 
 class BitString:

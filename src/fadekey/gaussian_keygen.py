@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, logsumexp, ndtr, ndtri
 
-from ._bits import BitString
+from ._bits import BitString, gray_codewords
 from .channel import gen_iid_gaussian_source
 from .reconcile import (
     LLR_CLAMP,
@@ -98,8 +98,7 @@ def gray_encode(cell_index: int, width: int) -> BitString:
         raise ValueError("width must be >= 1")
     if not 0 <= cell_index < 2**width:
         raise ValueError("cell_index out of range")
-    g = cell_index ^ (cell_index >> 1)
-    return BitString([(g >> (width - 1 - t)) & 1 for t in range(width)])
+    return BitString(gray_codewords(cell_index, width))
 
 
 def gray_component(cell_index: int, i: int, width: int) -> int:
@@ -108,20 +107,11 @@ def gray_component(cell_index: int, i: int, width: int) -> int:
         raise ValueError("bit position out of range")
     if not 0 <= cell_index < 2**width:
         raise ValueError("cell_index out of range")
-    g = cell_index ^ (cell_index >> 1)
-    return (g >> (width - i)) & 1
+    return int(gray_codewords(cell_index, width)[i - 1])
 
 
 def _cells_of(xs: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
     return np.searchsorted(spec.boundaries[1:-1], xs, side="right")
-
-
-def _gray_bit_table(total_bits: int) -> np.ndarray:
-    """(2^k, k) uint8 matrix of Gray codewords, MSB in column 0."""
-    j = np.arange(2**total_bits, dtype=np.int64)
-    g = j ^ (j >> 1)
-    shifts = np.arange(total_bits - 1, -1, -1)
-    return ((g[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
 def quantize_and_code(xs, spec: QuantizerSpec):
@@ -131,9 +121,7 @@ def quantize_and_code(xs, spec: QuantizerSpec):
     to regular_bits and the last m_over to over_bits, in sample order.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    cells = _cells_of(xs, spec)
-    table = _gray_bit_table(spec.total_bits)
-    bits = table[cells]  # (n, v + m_over)
+    bits = gray_codewords(_cells_of(xs, spec), spec.total_bits)  # (n, v + m_over)
     regular = BitString(bits[:, : spec.v].reshape(-1))
     over = BitString(bits[:, spec.v :].reshape(-1))
     return regular, over
@@ -251,7 +239,7 @@ def llr_soft_error(y, e, v: int, P, N) -> np.ndarray:
     j = np.arange(1, 2**v + 1)
     args = np.clip(e[..., None] + (j - 0.5) / 2.0**v, _PPF_EPS, 1.0 - _PPF_EPS)
     h = kappa * (ndtri(args) - mu[..., None]) ** 2
-    table = _gray_bit_table(v)
+    table = gray_codewords(np.arange(2**v), v)
     signs = np.where(table == 0, -1.0, 1.0)  # cell j has row j-1
     return np.clip(h @ signs, -LLR_CLAMP, LLR_CLAMP)
 

@@ -9,12 +9,11 @@ Alice's published quantization errors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import BitString
+from ._bits import BitString, gray_codewords
 from .channel import gen_iid_gaussian_source
 from .reconcile import LdpcCode, SecretKeyOutcome, block_traces, decode_syndrome, privacy_amplify, syndrome
 
@@ -103,19 +102,20 @@ def uniform_quantize(u, v: int):
     """Quantize u in [0,1) to a v-bit Gray cell with its quantization error.
 
     Returns (bits, e) with bits the Gray code of cell = floor(u*2^v),
-    most significant bit first, and e = u - cell/2^v in [0, 2^-v).  The
-    arithmetic is type-generic so exact (rational) inputs stay exact.
+    most significant bit first, and e = u - cell/2^v in [0, 2^-v).  u may
+    be a scalar or an array: bits has u's shape plus a trailing axis of
+    length v, e has u's shape.  The arithmetic is type-generic so exact
+    (rational) inputs, scalar or in object arrays, stay exact.
     """
     if v < 1:
         raise ValueError("v must be >= 1")
-    if not (0 <= u < 1):
+    u = np.asarray(u)
+    if not np.all((0 <= u) & (u < 1)):
         raise ValueError("u must lie in [0, 1)")
-    cell = math.floor(u * (1 << v))
+    cell = (u * (1 << v)) // 1
     unit = (u - u) + 1  # one in the arithmetic type of u
     e = u - cell * (unit / (1 << v))
-    g = cell ^ (cell >> 1)
-    bits = np.array([(g >> (v - i)) & 1 for i in range(1, v + 1)], dtype=np.uint8)
-    return bits, e
+    return gray_codewords(cell, v), e
 
 
 def heuristic_llr(V, E, v: int):
@@ -125,24 +125,25 @@ def heuristic_llr(V, E, v: int):
     quantization error; bit i's LLR is L_i = 2E - 2V + 1 - 2^-(v-i+1),
     after which the interval folds by the reflected-binary recursion:
     lower half V <- 2V, E <- 2E; upper half V <- 2-2V, E <- 2^-(v-i) - 2E.
-    Positive LLR favours bit 0.  Arithmetic is type-generic, so Fraction
-    inputs give exact rational outputs.
+    Positive LLR favours bit 0.  V and E broadcast against each other; the
+    result has their shape plus a trailing axis of length v.  Arithmetic is
+    type-generic, so Fraction inputs give exact rational outputs.
     """
     if v < 1:
         raise ValueError("v must be >= 1")
+    V, E = np.asarray(V), np.asarray(E)
     unit = (V - V) + (E - E) + 1  # one in the common arithmetic type
-    if not (0 <= V and 2 * V < 2 * unit):
+    if not np.all((0 <= V) & (2 * V < 2 * unit)):
         raise ValueError("V must lie in [0, 1)")
-    if not (0 <= E and (1 << v) * E < unit):
+    if not np.all((0 <= E) & ((1 << v) * E < unit)):
         raise ValueError("E must lie in [0, 2^-v)")
     out = []
     for i in range(1, v + 1):
         out.append(2 * E - 2 * V + unit - unit / 2 ** (v - i + 1))
-        if 2 * V < unit:
-            V, E = 2 * V, 2 * E
-        else:
-            V, E = 2 * unit - 2 * V, unit / 2 ** (v - i) - 2 * E
-    return np.asarray(out)
+        lower = 2 * V < unit
+        V, E = (np.where(lower, 2 * V, 2 * unit - 2 * V),
+                np.where(lower, 2 * E, unit / 2 ** (v - i) - 2 * E))
+    return np.stack(out, axis=-1)
 
 
 def rescale_llr(llr, scale):
@@ -167,6 +168,8 @@ class UniversalConfig:
     def __post_init__(self):
         if self.A is not None and self.A < self.v:
             raise ValueError("A must be >= v")
+        if not self.scale > 0:
+            raise ValueError(f"scale must be positive, got {self.scale}")
 
 
 def run_universal_system(config: UniversalConfig) -> SecretKeyOutcome:
@@ -188,20 +191,10 @@ def run_universal_system(config: UniversalConfig) -> SecretKeyOutcome:
     u_alice = fixed_point_convert(xs, A)
     u_bob = fixed_point_convert(ys, A)
 
-    bits = np.empty(n * v, dtype=np.uint8)
-    errors = np.empty(n)
-    for i in range(n):
-        b, e = uniform_quantize(u_alice.values[i], v)
-        bits[i * v : (i + 1) * v] = b
-        errors[i] = e
+    bits, errors = uniform_quantize(u_alice.values, v)
     x_b = BitString(bits)
     syn = syndrome(config.code, x_b)
-
-    llr = np.empty(n * v)
-    for i in range(n):
-        llr[i * v : (i + 1) * v] = rescale_llr(
-            heuristic_llr(u_bob.values[i], errors[i], v), config.scale
-        )
+    llr = rescale_llr(heuristic_llr(u_bob.values, errors, v), config.scale).reshape(-1)
     result = decode_syndrome(config.code, syn, llr)
 
     agreement = x_b.agreement(result.bits)

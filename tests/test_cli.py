@@ -256,17 +256,20 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="internal fault"):
             main(["levelcross-sim", "--n-probes", "300", "--out", str(tmp_path / "lc.json")])
 
-    @pytest.mark.parametrize("argv", [
-        ["pe-curve", "--trials", "10", "--m", "2"],
-        ["rate-curve", "--trials", "9999", "--fs", "100"],
-        ["mi-estimate", "--n", "5"],
-        ["levelcross-sim", "--n-probes", "0"],
-        ["levelcross-sim", "--n-probes", "1"],
-        ["gaussian-rate-curve", "--snr-db", "10", "--blocks", "0", "--n", "8"],
-    ], ids=["pe-trials", "rate-trials", "mi-n", "lc-probes-0", "lc-probes-1", "grc-blocks"])
-    def test_count_below_minimum_exits_usage(self, argv, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["pe-curve", "--trials", "10", "--m", "2"], "must be >="),
+        (["rate-curve", "--trials", "9999", "--fs", "100"], "must be >="),
+        (["mi-estimate", "--n", "5"], "must be >="),
+        (["levelcross-sim", "--n-probes", "0"], "must be >="),
+        (["levelcross-sim", "--n-probes", "1"], "must be >="),
+        (["gaussian-rate-curve", "--snr-db", "10", "--blocks", "0", "--n", "8"], "must be >="),
+        (["universal-sim", "--n", "8", "--v", "1", "--scale", "0"], "scale must be positive"),
+        (["universal-sim", "--n", "8", "--v", "1", "--scale", "-1"], "scale must be positive"),
+    ], ids=["pe-trials", "rate-trials", "mi-n", "lc-probes-0", "lc-probes-1", "grc-blocks",
+            "us-scale-0", "us-scale-neg"])
+    def test_count_below_minimum_exits_usage(self, argv, message, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
-        assert "must be >=" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unwritable_output(self):

@@ -145,6 +145,34 @@ class TestUniformQuantize:
         with pytest.raises(ValueError):
             uniform_quantize(0.3, 0)
 
+    @pytest.mark.parametrize("v", [1, 2, 4])
+    def test_array_matches_scalar_calls(self, v):
+        u = np.random.default_rng(v).random(40)
+        bits, e = uniform_quantize(u, v)
+        assert bits.shape == (40, v) and bits.dtype == np.uint8
+        assert e.shape == (40,)
+        for i, x in enumerate(u):
+            b, ei = uniform_quantize(x, v)
+            assert b.shape == (v,)
+            assert np.array_equal(bits[i], b) and e[i] == ei
+        grid_bits, grid_e = uniform_quantize(u.reshape(5, 8), v)
+        assert np.array_equal(grid_bits, bits.reshape(5, 8, v))
+        assert np.array_equal(grid_e, e.reshape(5, 8))
+
+    def test_fraction_array_stays_exact(self):
+        u = np.array([Fraction(7, 10), Fraction(1, 3), Fraction(0)], dtype=object)
+        bits, e = uniform_quantize(u, 2)
+        assert bits.tolist() == [[1, 1], [0, 1], [0, 0]]
+        assert e.tolist() == [Fraction(1, 5), Fraction(1, 12), Fraction(0)]
+        assert all(isinstance(x, Fraction) for x in e)
+
+    @pytest.mark.parametrize("bad", [1.0, -0.01, np.nan])
+    def test_one_element_out_of_range_rejected(self, bad):
+        u = np.full(10, 0.5)
+        u[7] = bad
+        with pytest.raises(ValueError, match="u must lie in"):
+            uniform_quantize(u, 2)
+
 
 def _gray_bits(cell, v):
     g = cell ^ (cell >> 1)
@@ -203,19 +231,36 @@ class TestHeuristicLlr:
             heuristic_llr(0.3, 0.1, 0)
 
     @given(
-        st.integers(0, 2**10 - 1),
-        st.integers(0, 2**6 - 1),
+        st.lists(st.tuples(st.integers(0, 2**10 - 1), st.integers(0, 2**6 - 1)),
+                 min_size=1, max_size=8),
         st.integers(1, 4),
     )
     @settings(max_examples=150)
-    def test_matches_fraction_reference(self, kv, ke, v):
+    def test_matches_fraction_reference(self, draws, v):
         # float evaluation on dyadic inputs is exact, so it must agree with
-        # rational arithmetic to the last bit
-        V = Fraction(2 * kv + 1, 1 << 11)
-        E = Fraction(2 * ke + 1, 1 << 7) / (1 << v)
-        exact = heuristic_llr(V, E, v)
-        approx = heuristic_llr(float(V), float(E), v)
-        assert all(float(a) == b for a, b in zip(exact, approx))
+        # rational arithmetic to the last bit; the same draws run as float
+        # and Fraction arrays must equal the scalar calls elementwise
+        Vs = [Fraction(2 * kv + 1, 1 << 11) for kv, _ in draws]
+        Es = [Fraction(2 * ke + 1, 1 << 7) / (1 << v) for _, ke in draws]
+        exact = [heuristic_llr(V, E, v) for V, E in zip(Vs, Es)]
+        approx = [heuristic_llr(float(V), float(E), v) for V, E in zip(Vs, Es)]
+        for x, a in zip(exact, approx):
+            assert all(float(b) == c for b, c in zip(x, a))
+
+        fV, fE = np.array(Vs, dtype=np.float64), np.array(Es, dtype=np.float64)
+        as_float = heuristic_llr(fV, fE, v)
+        assert as_float.shape == (len(draws), v)
+        assert as_float.tobytes() == np.array(approx).tobytes()
+        as_fraction = heuristic_llr(np.array(Vs, dtype=object), np.array(Es, dtype=object), v)
+        assert as_fraction.tolist() == [list(x) for x in exact]
+        assert all(isinstance(b, Fraction) for b in as_fraction.ravel())
+
+        # broadcasting: every V against every E
+        grid = heuristic_llr(fV[:, None], fE[None, :], v)
+        assert grid.shape == (len(draws), len(draws), v)
+        for i, V in enumerate(fV):
+            for j, E in enumerate(fE):
+                assert grid[i, j].tobytes() == heuristic_llr(V, E, v).tobytes()
 
 
 class TestRescaleLlr:
