@@ -5,6 +5,8 @@ Numerical LLR and boundary references were computed independently with
 chosen so every assertion holds with comfortable margin under fixed seeds.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,6 +293,37 @@ class TestLlrOverquantized:
         got = _llr_from_logp(_log_cell_probs(ys, spec, self.P, self.N, patterns), spec)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
 
+    @pytest.mark.parametrize("v, m_over", [(1, 0), (1, 1), (2, 3), (3, 5), (4, 0), (4, 8), (4, 12)])
+    def test_matches_logsumexp_reference_on_edge_rows(self, v, m_over, monkeypatch):
+        # reference: scipy's logsumexp over each bit's bit-0 and bit-1
+        # columns, compared before the clamp.  The rows cover far tails
+        # (y = +/-40), rows whose two sides sit 1000 nats apart (beyond the
+        # ~745 that one shift per row could span without underflow) and rows
+        # where the bit-0 side, the bit-1 side or both sides have zero mass
+        monkeypatch.setattr(gaussian_keygen, "LLR_CLAMP", np.inf)
+        spec = make_quantizer(self.P + self.N, v, m_over)
+        rng = np.random.default_rng(100 * v + m_over)
+        ys = np.concatenate([[-40.0, -9.0, 0.0, 9.0, 40.0], rng.normal(0.0, 1.5, size=20)])
+        patterns = rng.integers(0, 2**m_over, size=ys.size)
+        bit = (np.arange(2**v)[None, :] >> np.arange(v - 1, -1, -1)[:, None]) & 1  # (v, 2^v)
+        finite = rng.normal(-3.0, 2.0, size=2**v)
+        edge_rows = [np.full(2**v, -np.inf)]
+        edge_rows += [np.where(bit[i] == side, -np.inf, finite) for i in range(v) for side in (0, 1)]
+        edge_rows += [finite - 1000.0 * bit[i] for i in range(v)]
+        logp = np.vstack([_log_cell_probs(ys, spec, self.P, self.N, patterns), *edge_rows])
+
+        want = np.empty((logp.shape[0], v))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(v):
+                lse0 = logsumexp(logp[:, bit[i] == 0], axis=1)
+                lse1 = logsumexp(logp[:, bit[i] == 1], axis=1)
+                want[:, i] = np.where(np.maximum(lse0, lse1) > -np.inf, lse0 - lse1, 0.0)
+
+        got = _llr_from_logp(logp, spec)
+        assert np.isposinf(got).any() and np.isneginf(got).any()
+        assert np.abs(got[np.isfinite(got)]).max() > 745.0
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
 
 class TestCdfTransformError:
     def test_reference_value(self):
@@ -407,7 +440,46 @@ class TestLlrSoftError:
             np.testing.assert_allclose(got[row], llr_soft_error(y, e, v, self.P, self.N), rtol=0, atol=1e-12)
 
 
+# (decode_success, iterations, sha256 of the key bytes + repr((iterations,
+# decode_success, bit_agreement, net_bits))) of one block on code400,
+# recorded from the scipy-logsumexp LLRs and cumprod BP kernel; keyed by
+# (variant, v, m_over, snr_db, seed) with P = 1, N = 10^(-snr_db/10).  The
+# LLR bytes are left out: a rewrite may move them by ~1e-14 before the clamp
+# (TestLlrOverquantized bounds that), but not the decodes.
+BLOCK_DIGESTS = {
+    ('basic', 2, 0, 10.0, 0): (False, 50, "53c2fa9a249c60b2c21381f156f0a6a67c2285c373a9bbadc423495363a99a9e"),
+    ('basic', 2, 0, 10.0, 1): (False, 50, "6c52db13a2918b68b831f68081e1f66629d634542a54b2a3cf1778be8556e435"),
+    ('basic', 2, 0, 15.0, 0): (True, 3, "32434093186346ab6bd10d782c63ff508caa33820465beefeb5f6af86d092f9a"),
+    ('basic', 2, 0, 15.0, 1): (True, 27, "434137f8adab74cf8bf40bf72d77e6567581b3c7229c46adcf606ac8cec70189"),
+    ('basic', 2, 0, 25.0, 0): (True, 1, "5f8e9d48d2ad172fc037b2313633e65928a76a5bb163047004df44ddf4f3a8fb"),
+    ('basic', 2, 0, 25.0, 1): (True, 2, "1b456c670eff9b97f2afc3353ac8fa5bd8bbe40911778191fcad173c72d5f23c"),
+    ('overquant', 1, 1, 6.0, 0): (False, 50, "e75ab7ce2ff8995e254aaabedf8cc71c9616d270bd117a89812d3f05d63040fe"),
+    ('overquant', 1, 1, 6.0, 1): (False, 50, "ff4b92278c7d42686bf844d686790e6e6711e2112aa5e43be751325233429c5d"),
+    ('overquant', 1, 1, 9.0, 0): (True, 26, "c5b79013158ba18deb36ee3e9bae72e4118db279c85e1a44afaeb1a7d6937930"),
+    ('overquant', 1, 1, 9.0, 1): (False, 50, "400491352eeb2d84078d1d01b913567fa1644d71bae2b90c290932e9a502189b"),
+    ('overquant', 1, 1, 12.0, 0): (True, 8, "4b5033eafe8e2785cf480cad27439319c4378f800e6097c7c58aedd809453bde"),
+    ('overquant', 1, 1, 12.0, 1): (True, 11, "8b617b242e875c73e89e90759e995c6db47914353350816d8643ddf873a9a430"),
+    ('overquant', 4, 8, 14.0, 0): (False, 50, "82a65745441db14d670cd0aa3da457a2b410b857eb0fe4264b94c9a793096b7e"),
+    ('overquant', 4, 8, 14.0, 1): (False, 50, "3d034f1e2aea2fe407b56fbead81b2b1bf289e77cbf3b26f2b011fa2c40ec33e"),
+    ('overquant', 4, 8, 20.0, 0): (True, 12, "eb32a6a3cb000fa697949b4777f22f126647f7a64b7471c1821ef040c31f1aec"),
+    ('overquant', 4, 8, 20.0, 1): (True, 5, "38b61c3879393909886dae80b10ba49ba1f73df0c4b9ca9a650b184cd827cf64"),
+    ('overquant', 4, 8, 30.0, 0): (True, 2, "e13e527f57f3af1352fef5b1bb558b46f790dbde7eee8d31c7165d4ef2b32b28"),
+    ('overquant', 4, 8, 30.0, 1): (True, 2, "0b11937e96b0837308d037fb92ce17b296a561d670cac272f77692b9c8c410ac"),
+}
+
+
 class TestRunGaussianSystem:
+    @pytest.mark.parametrize("key", list(BLOCK_DIGESTS), ids=str)
+    def test_block_matches_recorded_digest(self, code400, key):
+        variant, v, m_over, snr_db, seed = key
+        out = run_gaussian_system(GaussianConfig(
+            code=code400, v=v, n_samples=code400.n // v, variant=variant, m_over=m_over,
+            P=1.0, N=10.0 ** (-snr_db / 10.0), seed=seed))
+        h = hashlib.sha256(out.key_bits.to_bytes())
+        h.update(repr((out.iterations, out.decode_success, out.bit_agreement,
+                       out.net_bits)).encode())
+        assert (out.decode_success, out.iterations, h.hexdigest()) == BLOCK_DIGESTS[key]
+
     def test_high_snr_basic_halves_the_bits(self, code240):
         cfg = GaussianConfig(code=code240, v=3, n_samples=80, variant="basic",
                              P=1.0, N=1e-3, seed=5)

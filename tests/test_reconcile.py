@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fadekey._bits import BitString
-from fadekey import reconcile
+from fadekey import _kernels, reconcile
 from fadekey.reconcile import (
     ConstructionError,
     decode_syndrome,
@@ -295,6 +295,58 @@ class TestDecodeSyndrome:
             decode_syndrome(code8, BitString.zeros(4), np.zeros(7))
         with pytest.raises(ValueError):
             decode_syndrome(code8, BitString.zeros(5), np.zeros(8))
+
+
+def _awgn_coset_decode(code, sigma, zero_frac, max_iter, seed):
+    # BPSK over AWGN at noise std sigma, a fraction of the LLRs erased to
+    # exactly 0, decoded in the coset of x's (nonzero) syndrome
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2, size=code.n)
+    y = (1.0 - 2.0 * x) + sigma * rng.standard_normal(code.n)
+    llr = np.clip(2.0 * y / sigma**2, -reconcile.LLR_CLAMP, reconcile.LLR_CLAMP)
+    llr[rng.random(code.n) < zero_frac] = 0.0
+    syn = syndrome(code, BitString(x)).to_array()
+    return _kernels.bp_syndrome_decode(code.edge_var, reconcile.CHECK_DEGREE, code.n, syn, llr,
+                                       max_iter)
+
+
+# (ok, iterations, sha256 of repr((ok, iterations)) + hard-decision bytes)
+# of one _kernels.bp_syndrome_decode call, recorded from the cumprod kernel;
+# keyed by (code fixture, sigma, zero_frac, max_iter, seed)
+BP_DIGESTS = {
+    ('code400', 0.7, 0.0, 50, 0): (True, 4, "60b40fdab4e58a51e7cde01eaa6981bbc85d04fbe927fa63a4073b392c5a7ba9"),
+    ('code400', 0.7, 0.0, 50, 1): (True, 2, "81d346fb3c8bd4a331070f0a26c5d3ec646491ce16d43112173c0dce515316ec"),
+    ('code400', 0.85, 0.0, 50, 0): (True, 27, "a3a0a48dd3bdc93ed15036c0f3488fdbcca0c51958918334e55fbe24e2ab6969"),
+    ('code400', 0.85, 0.0, 50, 1): (True, 4, "fff664a92424b344caa8775c9e34605e45bd53d5dae704ef84552099af1c1da6"),
+    ('code400', 1.0, 0.0, 50, 0): (False, 50, "8c9e6960d207d61cbd5f274f2aeb17d4633edc5f35af9fbf6c5289cb42cfca4f"),
+    ('code400', 1.0, 0.0, 50, 1): (False, 50, "3e0db810e73a59babbf6dd0adf9696b71b22f9de696b7f0e9f522e208bf632ac"),
+    ('code400', 0.8, 0.1, 50, 2): (True, 11, "dcfc92debfac9d36705c13e240d9e38922f4bff3a0e9c486d04b253a8813a3f2"),
+    ('code400', 0.95, 0.0, 8, 3): (False, 8, "5e5a6f5d3c027c3c3711ec4e9b2663a212f264d5a59ef1853afd12b9c051260f"),
+    ('code400', 1.2, 0.05, 50, 4): (False, 50, "da76320f76f729c445a5cebac2e6483d5b7ae13c50f562d04640fd377bef16d8"),
+    ('code4096', 0.8, 0.0, 50, 0): (True, 10, "6c9dad4b932fe845d9d9ce7b953e5628b99d324a9c9100bac61ce300e820b09d"),
+    ('code4096', 0.88, 0.0, 50, 0): (False, 50, "53e4baf004490c6b0ee21298c06345d2e12f93523952920aae79858d7dbe35b0"),
+    ('code4096', 0.95, 0.0, 50, 0): (False, 50, "3598b932679f2e8d70d837b6b1928cc0380908f37b583b8a04892506b4ae4c96"),
+    ('code4096', 0.84, 0.0, 50, 2): (True, 16, "9bf40fefad13f7a239d848b24fdd1f3ec3521f618f1e714e439db4d3835beb2d"),
+    ('code4096', 0.8, 0.05, 50, 1): (True, 15, "0cded7e7e2349dade0be204ec06f1c1c865ea507b40367f00b89c14b3f736c5e"),
+    ('code4096', 0.85, 0.05, 50, 1): (False, 50, "6af3d82ccc3f102ed40faa8315beafd2b71902515565b0b019dfcc84d92dcd84"),
+}
+
+
+class TestBpKernelDigests:
+    @pytest.mark.parametrize("key", list(BP_DIGESTS), ids=str)
+    def test_matches_recorded_digest(self, request, key):
+        code_name, sigma, zero_frac, max_iter, seed = key
+        ok, iters, hard = _awgn_coset_decode(request.getfixturevalue(code_name), sigma, zero_frac,
+                                             max_iter, seed)
+        h = hashlib.sha256(repr((bool(ok), int(iters))).encode())
+        h.update(np.asarray(hard, dtype=np.uint8).tobytes())
+        assert (ok, iters, h.hexdigest()) == BP_DIGESTS[key]
+
+    def test_grid_covers_failed_and_erased_decodes(self):
+        failed = [k for k, (ok, it, _) in BP_DIGESTS.items() if not ok and it == k[3]]
+        erased = [k for k in BP_DIGESTS if k[2] > 0]
+        assert failed and erased
+        assert {k[0] for k in BP_DIGESTS} == {"code400", "code4096"}
 
 
 class TestReferenceEquivalence:
