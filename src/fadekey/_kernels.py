@@ -1,16 +1,34 @@
-"""Belief-propagation decoder hot loop, vectorised over the edge arrays.
+"""Belief-propagation decoder hot loop and the GF(2) parity of the check table.
 
 One flooding log-domain sum-product kernel in numpy: each iteration updates
 every check-to-variable message at once from prefix/suffix products of the
 check's incoming ``tanh`` terms, then every variable-to-check message from
-the per-variable totals.  ``tests/reference_bp.py`` is an independently
-structured copy of the same schedule, and the two agree bit for bit.
+the per-variable totals.  The products are built one column of the check
+table at a time, multiplying left to right for the prefixes and right to
+left for the suffixes into buffers allocated once per decode; that is the
+order ``cumprod`` multiplies in, without its per-iteration temporaries.
+``tests/reference_bp.py`` is an independently structured copy of the same
+schedule, and the two agree bit for bit.
 """
 from __future__ import annotations
 
 import numpy as np
 
 CLAMP = 30.0
+
+
+def check_parity(bits, rows):
+    """H·x over GF(2): each row of ``rows`` XORs the bits it indexes.
+
+    ``rows`` is a check table, one row of variable indices per check.  The
+    bits are gathered column by column (``bits[rows.T]``, contiguous per
+    column) and the columns XORed one at a time.
+    """
+    columns = bits[rows.T]
+    par = columns[0].copy()
+    for col in columns[1:]:
+        par ^= col
+    return par
 
 
 def bp_syndrome_decode(edge_var, chk_deg, n_var, syn, llr, max_iter):
@@ -25,29 +43,40 @@ def bp_syndrome_decode(edge_var, chk_deg, n_var, syn, llr, max_iter):
     syn = np.ascontiguousarray(syn, dtype=np.uint8)
     llr = np.ascontiguousarray(llr, dtype=np.float64)
     m = edge_var.size // chk_deg
-    sign = 1.0 - 2.0 * syn.astype(np.float64)
+    rows = edge_var.reshape(m, chk_deg)
+    sign = (1.0 - 2.0 * syn.astype(np.float64))[:, None]
 
     hard = (llr < 0).astype(np.uint8)
-    if _parity_matches(hard, edge_var, m, chk_deg, syn):
+    if np.array_equal(check_parity(hard, rows), syn):
         return True, 0, hard
 
-    v2c = llr[edge_var].copy()
+    llr_edge = llr[edge_var]
+    v2c = llr_edge.copy()
+    t = np.empty((m, chk_deg))
+    pre = np.empty((m, chk_deg))
+    suf = np.empty((m, chk_deg))
+    c2v = np.empty((m, chk_deg))
+    pre[:, 0] = 1.0
+    suf[:, -1] = 1.0
     for it in range(max_iter):
-        t = np.tanh(0.5 * v2c).reshape(m, chk_deg)
-        pre = np.ones((m, chk_deg))
-        pre[:, 1:] = np.cumprod(t[:, :-1], axis=1)
-        suf = np.ones((m, chk_deg))
-        suf[:, :-1] = np.cumprod(t[:, :0:-1], axis=1)[:, ::-1]
-        c2v = np.clip(sign[:, None] * (2.0 * np.arctanh(pre * suf)), -CLAMP, CLAMP).ravel()
+        np.multiply(v2c.reshape(m, chk_deg), 0.5, out=t)
+        np.tanh(t, out=t)
+        for j in range(1, chk_deg):
+            np.multiply(pre[:, j - 1], t[:, j - 1], out=pre[:, j])
+        for j in range(chk_deg - 2, -1, -1):
+            np.multiply(suf[:, j + 1], t[:, j + 1], out=suf[:, j])
+        np.multiply(pre, suf, out=c2v)
+        np.arctanh(c2v, out=c2v)
+        c2v *= 2.0
+        c2v *= sign
+        np.clip(c2v, -CLAMP, CLAMP, out=c2v)
 
-        tot = np.bincount(edge_var, weights=c2v, minlength=n_var)
+        tot = np.bincount(edge_var, weights=c2v.ravel(), minlength=n_var)
         hard = ((llr + tot) < 0).astype(np.uint8)
-        if _parity_matches(hard, edge_var, m, chk_deg, syn):
+        if np.array_equal(check_parity(hard, rows), syn):
             return True, it + 1, hard
-        v2c = np.clip((llr[edge_var] + tot[edge_var]) - c2v, -CLAMP, CLAMP)
+        v2c = tot[edge_var]
+        v2c += llr_edge
+        v2c -= c2v.ravel()
+        np.clip(v2c, -CLAMP, CLAMP, out=v2c)
     return False, max_iter, hard
-
-
-def _parity_matches(hard, edge_var, m, chk_deg, syn):
-    par = np.bitwise_xor.reduce(hard[edge_var].reshape(m, chk_deg), axis=1)
-    return np.array_equal(par, syn)

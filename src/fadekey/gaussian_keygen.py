@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, logsumexp, ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from ._bits import BitString, gray_codewords
 from .channel import gen_iid_gaussian_source
@@ -171,14 +171,17 @@ def _llr_from_logp(logp: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
 
     Returns an (n, v) array clamped to +/-LLR_CLAMP.
     """
-    n = logp.shape[0]
-    out = np.empty((n, spec.v))
-    for i in range(spec.v):
-        # codeword bit i (MSB first) splits the columns into 2^i blocks of
-        # 2^(v-i) whose first halves have the bit 0 and second halves 1
-        lse = logsumexp(logp.reshape(n, 2**i, 2, -1), axis=(1, 3))
-        with np.errstate(invalid="ignore"):  # both sides massless: nan, read as 0 below
-            out[:, i] = lse[:, 0] - lse[:, 1]
+    v = spec.v
+    # sides[:, i, b] gathers the columns whose codeword bit i (MSB first) is b
+    bits = (np.arange(2**v) >> np.arange(v - 1, -1, -1)[:, None]) & 1
+    sides = logp[:, np.argsort(bits, axis=1, kind="stable").reshape(v, 2, -1)]
+    # log-sum-exp per side, shifted by that side's own max: one shift per row
+    # would underflow the weaker side once |LLR| passes ~745
+    top = sides.max(axis=3, keepdims=True)
+    top[np.isneginf(top)] = 0.0  # massless side: exp(-inf) sums to 0, log to -inf
+    with np.errstate(divide="ignore", invalid="ignore"):  # both sides massless: nan, read as 0
+        lse = np.log(np.exp(sides - top).sum(axis=3)) + top[..., 0]
+        out = lse[:, :, 0] - lse[:, :, 1]
     return np.clip(np.nan_to_num(out, nan=0.0, posinf=LLR_CLAMP, neginf=-LLR_CLAMP), -LLR_CLAMP, LLR_CLAMP)
 
 

@@ -181,9 +181,7 @@ def syndrome(code: LdpcCode, x: BitString) -> BitString:
     """s = H·x over GF(2), length n/2."""
     if len(x) != code.n:
         raise ValueError(f"bit string has {len(x)} bits, code expects {code.n}")
-    arr = x.to_array()
-    par = np.bitwise_xor.reduce(arr[code.chk_nbrs], axis=1)
-    return BitString(par)
+    return BitString(_kernels.check_parity(x.to_array(), code.chk_nbrs))
 
 
 def decode_syndrome(code: LdpcCode, s: BitString, llr, max_iter: int = 50) -> DecodeResult:
