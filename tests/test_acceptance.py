@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import jn_zeros
+from scipy.integrate import quad
+from scipy.special import entr, jn_zeros, ndtr
 from scipy.stats import chi2_contingency
 
 from fadekey._bits import BitString
@@ -218,10 +219,36 @@ def test_criterion_07_gaussian_overquantized_system(code4096):
     _verdict(7, clause1 and clause2, detail)
 
 
+def _sign_bit_equivocation(snr_db):
+    """H(X_1|Y) in bits for the v = 1 (sign) bit of X = F + Z_A given Y = F + Z_B.
+
+    P = 1 and N = 10^(-snr_db/10), as both systems draw the source.  Given
+    Y = y, X is N(a y, s^2) with a = P/(P+N) and s^2 = (2PN + N^2)/(P+N), so
+    Pr(X > 0 | y) = Phi(a y / s); its binary entropy is averaged over
+    Y ~ N(0, P+N).
+    """
+    P, N = 1.0, 10.0 ** (-snr_db / 10.0)
+    a, s, sy = P / (P + N), math.sqrt((2.0 * P * N + N * N) / (P + N)), math.sqrt(P + N)
+
+    def integrand(y):
+        p = ndtr(a * y / s)
+        density = math.exp(-0.5 * (y / sy) ** 2) / (sy * math.sqrt(2.0 * math.pi))
+        return (entr(p) + entr(1.0 - p)) / math.log(2.0) * density
+
+    return quad(integrand, -math.inf, math.inf)[0]
+
+
 def test_criterion_08_universal_tracks_overquantized(code400):
+    # A v = 1 block reveals a 0.5-bit-per-sample syndrome, and Bob can only
+    # recover Alice's bits where H(X_1|Y) is below that budget (Slepian-Wolf);
+    # below it both systems fail every block and the comparison is empty.  The
+    # points are the 0-20 dB grid in 5 dB steps, kept where H(X_1|Y) < 0.5 as
+    # computed here, never by outcome.
+    points = [(snr, h) for snr in (0.0, 5.0, 10.0, 15.0, 20.0)
+              if (h := _sign_bit_equivocation(snr)) < 0.5]
     worst_gap = 0.0
     details = []
-    for snr in (0.0, 5.0):
+    for snr, h in points:
         noise = 10.0 ** (-snr / 10.0)
         net_u = np.mean([
             run_universal_system(UniversalConfig(
@@ -234,8 +261,9 @@ def test_criterion_08_universal_tracks_overquantized(code400):
                 P=1.0, N=noise, seed=s)).net_rate_bits_per_sample
             for s in range(10)])
         worst_gap = max(worst_gap, abs(net_u - net_g))
-        details.append(f"{snr:g} dB: universal {net_u:.3f} vs overquant {net_g:.3f}")
-    _verdict(8, worst_gap <= 0.5, "; ".join(details) + f" (max gap {worst_gap:.3f}, tol 0.5)")
+        details.append(f"{snr:g} dB (H(X1|Y) {h:.3f}): universal {net_u:.3f} vs overquant {net_g:.3f}")
+    _verdict(8, bool(points) and worst_gap <= 0.5,
+             "; ".join(details) + f" (max gap {worst_gap:.3f}, tol 0.5)")
 
 
 def test_criterion_09_short_block_shape(code400):
