@@ -469,16 +469,16 @@ BLOCK_DIGESTS = {
 
 
 class TestRunGaussianSystem:
-    @pytest.mark.parametrize("key", list(BLOCK_DIGESTS), ids=str)
-    def test_block_matches_recorded_digest(self, code400, key):
-        variant, v, m_over, snr_db, seed = key
+    @pytest.mark.parametrize("variant, v, m_over, snr_db, seed", list(BLOCK_DIGESTS))
+    def test_block_matches_recorded_digest(self, code400, variant, v, m_over, snr_db, seed):
         out = run_gaussian_system(GaussianConfig(
             code=code400, v=v, n_samples=code400.n // v, variant=variant, m_over=m_over,
             P=1.0, N=10.0 ** (-snr_db / 10.0), seed=seed))
         h = hashlib.sha256(out.key_bits.to_bytes())
         h.update(repr((out.iterations, out.decode_success, out.bit_agreement,
                        out.net_bits)).encode())
-        assert (out.decode_success, out.iterations, h.hexdigest()) == BLOCK_DIGESTS[key]
+        want = BLOCK_DIGESTS[variant, v, m_over, snr_db, seed]
+        assert (out.decode_success, out.iterations, h.hexdigest()) == want
 
     def test_high_snr_basic_halves_the_bits(self, code240):
         cfg = GaussianConfig(code=code240, v=3, n_samples=80, variant="basic",

@@ -333,14 +333,13 @@ BP_DIGESTS = {
 
 
 class TestBpKernelDigests:
-    @pytest.mark.parametrize("key", list(BP_DIGESTS), ids=str)
-    def test_matches_recorded_digest(self, request, key):
-        code_name, sigma, zero_frac, max_iter, seed = key
+    @pytest.mark.parametrize("code_name, sigma, zero_frac, max_iter, seed", list(BP_DIGESTS))
+    def test_matches_recorded_digest(self, request, code_name, sigma, zero_frac, max_iter, seed):
         ok, iters, hard = _awgn_coset_decode(request.getfixturevalue(code_name), sigma, zero_frac,
                                              max_iter, seed)
         h = hashlib.sha256(repr((bool(ok), int(iters))).encode())
         h.update(np.asarray(hard, dtype=np.uint8).tobytes())
-        assert (ok, iters, h.hexdigest()) == BP_DIGESTS[key]
+        assert (ok, iters, h.hexdigest()) == BP_DIGESTS[code_name, sigma, zero_frac, max_iter, seed]
 
     def test_grid_covers_failed_and_erased_decodes(self):
         failed = [k for k, (ok, it, _) in BP_DIGESTS.items() if not ok and it == k[3]]
