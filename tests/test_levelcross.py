@@ -4,6 +4,8 @@ Statistical assertions run on fixed seeds, so every measured number below is
 reproducible; tolerances were sized from across-seed spread before freezing.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -433,6 +435,66 @@ class TestRunProtocol:
         # binomial 4-sigma band around 1/2 for the n-bit hashed key
         assert n > 0
         assert abs(result.key_alice.agreement(guess) - 0.5) < 4 * 0.5 / np.sqrt(n)
+
+
+# (aborted_reason, authenticated, sha256 of the key_alice, key_bob and
+# raw_key_alice bytes + repr of their lengths, authenticated, aborted_reason,
+# agreement, raw_min_entropy and bits_per_second) of one run_protocol
+# campaign; keyed by (snr_db, fs, n_probes, m, n_au, seed) with P = 1,
+# N = 10^(-snr_db/10) (None: noiseless), fd = 10, alpha = 1/8, window = 51.
+# No MAC tag is hashed, so any MAC that accepts exactly when the two n_au-bit
+# keys agree leaves every entry unchanged.  fs = 9 splits the TDD probes past
+# the coherence time (mac_failure or fake_L), n_au = 4096 aborts
+# insufficient_bits in bob_reply, 3000 probes or m = 2 leave no hashed bit
+# after the PA margin, and (20, 100, 12000, 2, 128, 1) authenticates with
+# one raw-bit disagreement.
+CAMPAIGN_DIGESTS = {
+    (None, 100.0, 12000, 4, 128, 0): (None, True, "9c46fee289e2cce725869d2e0a32eff37d457c3d0cd760457f9904f70d6e57e7"),
+    (None, 100.0, 12000, 4, 128, 1): (None, True, "49bca2aeb2c50b1c1b1d0e178c853b2ffce190031e28e6f1968a1013235ecb3a"),
+    (20.0, 100.0, 12000, 4, 128, 0): (None, True, "ff666c022396096c17feadc2aaa4866cd0131832a44cc55b6ba2f8fd4316c334"),
+    (20.0, 100.0, 12000, 4, 128, 1): (None, True, "6c64f9570e9fa4ae29aa5d654b0bc18569deec0a278ca7acfd625aa94616293f"),
+    (20.0, 100.0, 12000, 2, 128, 1): (None, True, "7f7111cf889d8a4d853187a51c3c84603b17e7f094c82f5009178bd8f6f02943"),
+    (10.0, 100.0, 12000, 4, 128, 0): (None, True, "47e78a1b0462144b570d5a464ce68b7280035a197bc772039c588a57748c1971"),
+    (10.0, 100.0, 12000, 4, 128, 1): (None, True, "9ce2b9936ccee52f6b26d2ef5272125e8df0bf65b6eeb1a648fc06c1f0964b63"),
+    (5.0, 100.0, 12000, 4, 128, 0): (None, True, "e8135cd51a90ed66609d48adf7924ca1056b28bd447a93dfbbc800e5ef749b5a"),
+    (5.0, 100.0, 12000, 4, 128, 1): (None, True, "2e79e32731bc753774c67e96992328d3b689fe6b1be94d41ba28788e6497a1e0"),
+    (None, 100.0, 3000, 4, 128, 0): ('insufficient_bits', True, "50c6c6e9a8b0b4b2e3fea506bbefa435561c1d9430253ebaafc5cb704f19ae0a"),
+    (20.0, 100.0, 3000, 2, 128, 1): ('insufficient_bits', True, "cad329ced2b6f8df0dab39fe3154ec4058330c10c61cb316fd50ccba6d27d2e0"),
+    (10.0, 100.0, 3000, 4, 128, 0): ('insufficient_bits', True, "9af0118a9d0066921903aa4bbcf7ce117a378cf0f84a52428abfa6203398ae09"),
+    (20.0, 100.0, 12000, 2, 128, 0): ('insufficient_bits', True, "9dbed51f35ec0a270720672a80528a8d33bd41b532c41a36d23750a16e3a72a6"),
+    (20.0, 100.0, 12000, 4, 4096, 0): ('insufficient_bits', False, "33f297a192458a8ee0ef8b26f56b7031caadfb05c018211d35e3ce66fef80f36"),
+    (None, 9.0, 3000, 2, 4096, 0): ('insufficient_bits', False, "33f297a192458a8ee0ef8b26f56b7031caadfb05c018211d35e3ce66fef80f36"),
+    (5.0, 100.0, 3000, 4, 4096, 1): ('insufficient_bits', False, "33f297a192458a8ee0ef8b26f56b7031caadfb05c018211d35e3ce66fef80f36"),
+    (None, 9.0, 3000, 2, 128, 0): ('mac_failure', False, "057ce7f60f5e26238fd1e35ee7355f46a2eee27c5bba5b0261236b8726b32411"),
+    (20.0, 9.0, 12000, 4, 128, 1): ('mac_failure', False, "057ce7f60f5e26238fd1e35ee7355f46a2eee27c5bba5b0261236b8726b32411"),
+    (10.0, 100.0, 12000, 2, 128, 0): ('mac_failure', False, "057ce7f60f5e26238fd1e35ee7355f46a2eee27c5bba5b0261236b8726b32411"),
+    (10.0, 100.0, 3000, 4, 128, 1): ('mac_failure', False, "057ce7f60f5e26238fd1e35ee7355f46a2eee27c5bba5b0261236b8726b32411"),
+    (5.0, 100.0, 3000, 2, 128, 1): ('mac_failure', False, "057ce7f60f5e26238fd1e35ee7355f46a2eee27c5bba5b0261236b8726b32411"),
+    (10.0, 9.0, 3000, 4, 128, 1): ('mac_failure', False, "057ce7f60f5e26238fd1e35ee7355f46a2eee27c5bba5b0261236b8726b32411"),
+    (20.0, 9.0, 3000, 4, 128, 0): ('mac_failure', False, "057ce7f60f5e26238fd1e35ee7355f46a2eee27c5bba5b0261236b8726b32411"),
+    (10.0, 9.0, 3000, 4, 128, 0): ('fake_L', False, "c264248705382cd38a8643385e304a788d0a984ea5a13d3cd9cc703113a6bbd5"),
+    (10.0, 9.0, 3000, 4, 4096, 0): ('fake_L', False, "c264248705382cd38a8643385e304a788d0a984ea5a13d3cd9cc703113a6bbd5"),
+    (5.0, 9.0, 3000, 4, 128, 0): ('fake_L', False, "c264248705382cd38a8643385e304a788d0a984ea5a13d3cd9cc703113a6bbd5"),
+    (5.0, 9.0, 12000, 4, 128, 0): ('fake_L', False, "c264248705382cd38a8643385e304a788d0a984ea5a13d3cd9cc703113a6bbd5"),
+    (5.0, 9.0, 12000, 4, 4096, 1): ('fake_L', False, "c264248705382cd38a8643385e304a788d0a984ea5a13d3cd9cc703113a6bbd5"),
+}
+
+
+class TestRunProtocolDigests:
+    @pytest.mark.parametrize("snr_db, fs, n_probes, m, n_au, seed", list(CAMPAIGN_DIGESTS))
+    def test_matches_recorded_digest(self, snr_db, fs, n_probes, m, n_au, seed):
+        N = 0.0 if snr_db is None else 10.0 ** (-snr_db / 10.0)
+        rec = make_record(1.0, N, 10.0, fs, n_probes, seed=seed)
+        r = run_protocol(rec, LevelCrossConfig(alpha=0.125, m=m, window=51, n_au=n_au, seed=seed))
+        h = hashlib.sha256(r.key_alice.to_bytes() + r.key_bob.to_bytes() + r.raw_key_alice.to_bytes())
+        h.update(repr((len(r.key_alice), len(r.key_bob), len(r.raw_key_alice), r.authenticated,
+                       r.aborted_reason, r.agreement, r.raw_min_entropy, r.bits_per_second)).encode())
+        assert (r.aborted_reason, r.authenticated, h.hexdigest()) == CAMPAIGN_DIGESTS[snr_db, fs, n_probes, m, n_au, seed]
+
+    def test_grid_covers_every_outcome(self):
+        outcomes = {(reason, auth) for reason, auth, _ in CAMPAIGN_DIGESTS.values()}
+        assert outcomes == {(None, True), ("insufficient_bits", True), ("insufficient_bits", False),
+                            ("mac_failure", False), ("fake_L", False)}
 
 
 class TestPrivacyAmplification:
