@@ -7,6 +7,8 @@ the per-variable totals.  The products are built one column of the check
 table at a time, multiplying left to right for the prefixes and right to
 left for the suffixes into buffers allocated once per decode; that is the
 order ``cumprod`` multiplies in, without its per-iteration temporaries.
+The check-node half is ``check_node_update``, so a test can compare its
+messages byte for byte with the ``cumprod`` formula.
 ``tests/reference_bp.py`` is an independently structured copy of the same
 schedule, and the two agree bit for bit.
 """
@@ -31,6 +33,38 @@ def check_parity(bits, rows):
     return par
 
 
+def check_node_buffers(m, chk_deg):
+    """Work buffers ``(t, pre, suf, c2v)`` of ``check_node_update``, each (m, chk_deg)."""
+    t, pre, suf, c2v = np.empty((4, m, chk_deg))
+    pre[:, 0] = 1.0
+    suf[:, -1] = 1.0
+    return t, pre, suf, c2v
+
+
+def check_node_update(v2c, sign, bufs):
+    """Check-to-variable messages of every edge, written into and returned as ``c2v``.
+
+    ``v2c`` holds the variable-to-check messages in canonical edge order,
+    ``sign`` the (m, 1) column of (-1)^syndrome, and ``bufs`` comes from
+    ``check_node_buffers``.  Each message is 2·arctanh of the product of the
+    check's other ``tanh(v2c/2)`` terms, times the sign, clamped to ``±CLAMP``.
+    """
+    t, pre, suf, c2v = bufs
+    m, chk_deg = t.shape
+    np.multiply(v2c.reshape(m, chk_deg), 0.5, out=t)
+    np.tanh(t, out=t)
+    for j in range(1, chk_deg):
+        np.multiply(pre[:, j - 1], t[:, j - 1], out=pre[:, j])
+    for j in range(chk_deg - 2, -1, -1):
+        np.multiply(suf[:, j + 1], t[:, j + 1], out=suf[:, j])
+    np.multiply(pre, suf, out=c2v)
+    np.arctanh(c2v, out=c2v)
+    c2v *= 2.0
+    c2v *= sign
+    np.clip(c2v, -CLAMP, CLAMP, out=c2v)
+    return c2v
+
+
 def bp_syndrome_decode(edge_var, chk_deg, n_var, syn, llr, max_iter):
     """Flooding log-domain sum-product decode of the coset with syndrome ``syn``.
 
@@ -52,25 +86,9 @@ def bp_syndrome_decode(edge_var, chk_deg, n_var, syn, llr, max_iter):
 
     llr_edge = llr[edge_var]
     v2c = llr_edge.copy()
-    t = np.empty((m, chk_deg))
-    pre = np.empty((m, chk_deg))
-    suf = np.empty((m, chk_deg))
-    c2v = np.empty((m, chk_deg))
-    pre[:, 0] = 1.0
-    suf[:, -1] = 1.0
+    bufs = check_node_buffers(m, chk_deg)
     for it in range(max_iter):
-        np.multiply(v2c.reshape(m, chk_deg), 0.5, out=t)
-        np.tanh(t, out=t)
-        for j in range(1, chk_deg):
-            np.multiply(pre[:, j - 1], t[:, j - 1], out=pre[:, j])
-        for j in range(chk_deg - 2, -1, -1):
-            np.multiply(suf[:, j + 1], t[:, j + 1], out=suf[:, j])
-        np.multiply(pre, suf, out=c2v)
-        np.arctanh(c2v, out=c2v)
-        c2v *= 2.0
-        c2v *= sign
-        np.clip(c2v, -CLAMP, CLAMP, out=c2v)
-
+        c2v = check_node_update(v2c, sign, bufs)
         tot = np.bincount(edge_var, weights=c2v.ravel(), minlength=n_var)
         hard = ((llr + tot) < 0).astype(np.uint8)
         if np.array_equal(check_parity(hard, rows), syn):

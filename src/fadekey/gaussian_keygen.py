@@ -228,7 +228,11 @@ def llr_soft_error(y, e, v: int, P, N) -> np.ndarray:
     Phi^-1(e + (j - 1/2)/2^v); the LLR of bit i sums h(e,j,y) over cells
     with that bit equal to 1 minus those with it equal to 0, where
     h(e,j,y) = ((P+N)/(2(2PN+N^2))) (Phi^-1(e + (j-1/2)/2^v) - (P/(P+N))y)^2.
-    Calibrated for P + N = 1; callers normalize first.  y and e broadcast
+    Calibrated for P + N = 1; callers normalize first.  This is the paper's
+    closed form, not the exact log-posterior ratio, even at v = 1: h uses
+    the spread of X given Y, (x_j - rho*y)^2, and in unit form exceeds the
+    negative log-likelihood of y given x_j by (x_j^2 - y^2)/2, so each cell
+    is weighted by its point's density although the cells are equiprobable.  y and e broadcast
     against each other; the result has their shape plus a trailing axis of
     length v.
     """

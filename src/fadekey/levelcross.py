@@ -6,6 +6,8 @@ samples that stay strictly beyond a threshold.  Alice announces the centers
 of her runs; Bob keeps the indices he can confirm on his own estimates,
 answers with that sublist plus a MAC tag keyed by the first bits of his
 key material, and Alice verifies the tag to authenticate the exchange.
+The MAC is HMAC-SHA256 truncated to 128 bits (``mac_compute``).  Every
+abort is a ``ProtocolAbort``, which ``run_protocol`` reports in its result.
 
 The remaining raw bits are not a key yet: successive narrow-band
 excursions alternate sign, so the raw string is strongly Markov (lag-1
@@ -21,11 +23,11 @@ passes frequency and runs tests just as well.
 
 from __future__ import annotations
 
+import hmac
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from scipy.special import j0, jn_zeros
 
 from ._bits import BitString
@@ -33,7 +35,6 @@ from .analysis import markov_min_entropy
 from .reconcile import privacy_amplify
 
 __all__ = [
-    "UNDEFINED_E",
     "ProtocolAbort",
     "Thresholds",
     "Excursion",
@@ -43,7 +44,6 @@ __all__ = [
     "LevelCrossConfig",
     "subtract_windowed_mean",
     "compute_thresholds",
-    "quantize_sample",
     "find_excursions",
     "alice_select",
     "bob_check",
@@ -56,9 +56,6 @@ __all__ = [
     "EVE_LEAK_PER_BIT",
     "PA_EPSILON_BITS",
 ]
-
-# quantizer output for samples inside the guard band [q_minus, q_plus]
-UNDEFINED_E = None
 
 _MAC_BITS = 128
 
@@ -157,11 +154,10 @@ class AmplificationNotice:
 class KeyAgreementResult:
     """Outcome of one campaign.
 
-    ``key_alice``/``key_bob`` are the final keys: after ``run_protocol``
-    they are the Toeplitz-hashed outputs, while ``alice_finalize`` (step 5)
-    still returns Alice's raw bits there.  ``agreement`` is measured on the
-    raw bits, before hashing, where a single disagreement shows as a
-    fraction rather than as two unrelated hashes.
+    ``key_alice``/``key_bob`` are the Toeplitz-hashed final keys.
+    ``agreement`` is measured on the raw bits, before hashing, where a
+    single disagreement shows as a fraction rather than as two unrelated
+    hashes.
     """
 
     key_alice: BitString
@@ -234,18 +230,6 @@ def compute_thresholds(u, alpha) -> Thresholds:
     return Thresholds(q_plus=mu + alpha * sigma, q_minus=mu - alpha * sigma, alpha=alpha)
 
 
-def quantize_sample(x, t: Thresholds):
-    """1 above q_plus, 0 below q_minus, UNDEFINED_E in the guard band.
-
-    Inequalities are strict; boundary equality maps to UNDEFINED_E.
-    """
-    if x > t.q_plus:
-        return 1
-    if x < t.q_minus:
-        return 0
-    return UNDEFINED_E
-
-
 def _excursion_state(x: np.ndarray, t: Thresholds) -> np.ndarray:
     """Per-sample classification: +1 above q_plus, -1 below q_minus, else 0."""
     return np.where(x > t.q_plus, 1, np.where(x < t.q_minus, -1, 0)).astype(np.int8)
@@ -293,6 +277,14 @@ def alice_select(excursions, select_fraction, seed) -> ProtocolMessage:
     return ProtocolMessage("index_list", np.array(centers, dtype=np.int64))
 
 
+def _message_indices(L, n: int) -> np.ndarray:
+    """A message's (or a bare list's) indices; any outside [0, n) aborts "fake_L"."""
+    idx = np.asarray(L.indices if isinstance(L, ProtocolMessage) else L, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ProtocolAbort("fake_L")
+    return idx
+
+
 def bob_check(L, y, t: Thresholds, m: int, epsilon) -> bool:
     """Step-3 plausibility test of Alice's index list against Bob's trace.
 
@@ -303,11 +295,9 @@ def bob_check(L, y, t: Thresholds, m: int, epsilon) -> bool:
     if not 0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 0.5)")
     y = np.asarray(y, dtype=np.float64)
-    idx = np.asarray(L.indices if isinstance(L, ProtocolMessage) else L, dtype=np.int64)
+    idx = _message_indices(L, y.size)
     if idx.size == 0:
         return False
-    if idx.min() < 0 or idx.max() >= y.size:
-        raise ProtocolAbort("fake_L")
     mask = _excursion_mask(y, t, max(m - 1, 1))
     return float(mask[idx].mean()) >= 0.5 + epsilon
 
@@ -322,9 +312,7 @@ def bob_reply(L, y, t: Thresholds, m: int, n_au: int):
     abort with "insufficient_bits".
     """
     y = np.asarray(y, dtype=np.float64)
-    idx = np.asarray(L.indices if isinstance(L, ProtocolMessage) else L, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= y.size):
-        raise ProtocolAbort("fake_L")
+    idx = _message_indices(L, y.size)
     mask = _excursion_mask(y, t, max(m - 1, 1))
     l_tilde = idx[mask[idx]] if idx.size else idx
     bits = BitString((y[l_tilde] > t.q_plus).astype(np.uint8))
@@ -335,40 +323,25 @@ def bob_reply(L, y, t: Thresholds, m: int, n_au: int):
     return ProtocolMessage("reply", l_tilde, tag), bits[n_au:]
 
 
-def alice_finalize(reply: ProtocolMessage, x, t: Thresholds, n_au: int) -> KeyAgreementResult:
-    """Step 5: recompute the tag on Alice's side and authenticate.
+def alice_finalize(reply: ProtocolMessage, x, t: Thresholds, n_au: int) -> BitString:
+    """Step 5: recompute the tag on Alice's side and return her raw key.
 
     Alice quantizes her own samples at the confirmed indices, keys the MAC
     with the first n_au bits, and accepts iff the recomputed tag equals the
-    received one.  An index whose sample falls in her guard band cannot
-    come from her own announcement and aborts as a faked list.
+    received one, returning the bits after those n_au; a mismatch aborts with
+    "mac_failure".  An index whose sample falls in her guard band (bounds
+    included) cannot come from her own announcement and aborts "fake_L".
     """
     x = np.asarray(x, dtype=np.float64)
-    idx = reply.indices
-    if idx.size and (idx.min() < 0 or idx.max() >= x.size):
+    state = _excursion_state(x[_message_indices(reply, x.size)], t)
+    if not state.all():
         raise ProtocolAbort("fake_L")
-    vals = [quantize_sample(v, t) for v in x[idx]]
-    if any(v is UNDEFINED_E for v in vals):
-        raise ProtocolAbort("fake_L")
-    bits = BitString(np.array(vals, dtype=np.uint8))
+    bits = BitString((state > 0).astype(np.uint8))
     if len(bits) <= n_au:
         raise ProtocolAbort("insufficient_bits")
-    tag = mac_compute(bits[:n_au], _serialize_indices(idx))
-    if tag != reply.mac_tag:
-        return KeyAgreementResult(
-            key_alice=BitString.zeros(0),
-            key_bob=BitString.zeros(0),
-            authenticated=False,
-            aborted_reason="mac_failure",
-            bits_per_second=0.0,
-        )
-    return KeyAgreementResult(
-        key_alice=bits[n_au:],
-        key_bob=BitString.zeros(0),
-        authenticated=True,
-        aborted_reason=None,
-        bits_per_second=0.0,
-    )
+    if mac_compute(bits[:n_au], _serialize_indices(reply.indices)) != reply.mac_tag:
+        raise ProtocolAbort("mac_failure")
+    return bits[n_au:]
 
 
 def _serialize_indices(idx: np.ndarray) -> bytes:
@@ -377,21 +350,15 @@ def _serialize_indices(idx: np.ndarray) -> bytes:
 
 
 def mac_compute(key: BitString, message: bytes) -> BitString:
-    """CBC-MAC over 128-bit blocks with an AES core.
+    """HMAC-SHA256 of ``message``, truncated to its first 128 bits.
 
-    The key bits (at most 128) are zero-padded into the cipher key; the
-    message is length-prefixed and zero-padded to a whole number of blocks.
-    Returns the final chaining block as a 128-bit string.  Determinism and
-    key sensitivity are the design targets, not proven security.
+    The HMAC key is the packed key bits (1..128 of them, final byte
+    zero-padded).  Truncation to half the hash output is the minimum RFC
+    2104 (section 5) recommends.
     """
     if not 0 < len(key) <= _MAC_BITS:
         raise ValueError(f"key must be 1..{_MAC_BITS} bits")
-    key_bytes = key.to_bytes().ljust(16, b"\x00")
-    msg = len(message).to_bytes(8, "big") + bytes(message)
-    if len(msg) % 16:
-        msg = msg + b"\x00" * (16 - len(msg) % 16)
-    enc = Cipher(algorithms.AES(key_bytes), modes.CBC(b"\x00" * 16)).encryptor()
-    tag = (enc.update(msg) + enc.finalize())[-16:]
+    tag = hmac.digest(key.to_bytes(), message, "sha256")[: _MAC_BITS // 8]
     return BitString(np.unpackbits(np.frombuffer(tag, dtype=np.uint8)))
 
 
@@ -431,9 +398,9 @@ def run_protocol(probe_record, config: LevelCrossConfig) -> KeyAgreementResult:
     ``alice_amplification``).  The returned keys are those hashed outputs;
     ``raw_key_alice`` and ``agreement`` describe the raw bits before them.
     A raw key too short to leave any hashed bit aborts with
-    "insufficient_bits" after a successful handshake.  Aborts are reported
-    in the result rather than raised.  bits_per_second divides the final
-    key length by the probe-campaign time span.
+    "insufficient_bits" after a successful handshake.  Every abort is
+    reported in the result rather than raised.  bits_per_second divides the
+    final key length by the probe-campaign time span.
     """
     x = np.asarray(probe_record.x_hat, dtype=np.float64)
     y = np.asarray(probe_record.y_hat, dtype=np.float64)
@@ -446,27 +413,17 @@ def run_protocol(probe_record, config: LevelCrossConfig) -> KeyAgreementResult:
     excursions = find_excursions(u_x, t_x, config.m)
     msg_l = alice_select(excursions, config.select_fraction, config.seed)
 
-    def _aborted(reason):
-        return KeyAgreementResult(
-            key_alice=BitString.zeros(0),
-            key_bob=BitString.zeros(0),
-            authenticated=False,
-            aborted_reason=reason,
-            bits_per_second=0.0,
-        )
-
     try:
         if not bob_check(msg_l, u_y, t_y, config.m, config.epsilon):
-            return _aborted("fake_L")
-        reply, key_bob = bob_reply(msg_l, u_y, t_y, config.m, config.n_au)
+            raise ProtocolAbort("fake_L")
+        reply, raw_bob = bob_reply(msg_l, u_y, t_y, config.m, config.n_au)
         if not np.isin(reply.indices, msg_l.indices).all():
-            return _aborted("fake_L")
-        result = alice_finalize(reply, u_x, t_x, config.n_au)
+            raise ProtocolAbort("fake_L")
+        raw_alice = alice_finalize(reply, u_x, t_x, config.n_au)
     except ProtocolAbort as abort:
-        return _aborted(abort.reason)
-    if not result.authenticated:
-        return result
-    raw_alice, raw_bob = result.key_alice, key_bob
+        empty = BitString.zeros(0)
+        return KeyAgreementResult(empty, empty, authenticated=False, aborted_reason=abort.reason,
+                                  bits_per_second=0.0)
     notice = alice_amplification(raw_alice, config.seed)
     key_alice = privacy_amplify(raw_alice, notice.out_len, notice.seed)
     key_bob = privacy_amplify(raw_bob, notice.out_len, notice.seed)

@@ -5,6 +5,7 @@ reproducible; tolerances were sized from across-seed spread before freezing.
 """
 
 import hashlib
+import hmac
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from fadekey.reconcile import privacy_amplify
 from fadekey.levelcross import (
     EVE_LEAK_PER_BIT,
     PA_EPSILON_BITS,
-    UNDEFINED_E,
     Excursion,
     KeyAgreementResult,
     LevelCrossConfig,
@@ -35,7 +35,6 @@ from fadekey.levelcross import (
     find_excursions,
     mac_compute,
     pa_output_length,
-    quantize_sample,
     run_protocol,
     subtract_windowed_mean,
 )
@@ -120,12 +119,22 @@ class TestComputeThresholds:
 
 
 class TestQuantizeSample:
-    @pytest.mark.parametrize(
-        "x,expected", [(5.0, 1), (-2.0, 0), (0.0, UNDEFINED_E), (1.0, UNDEFINED_E), (-1.0, UNDEFINED_E)]
-    )
+    """Alice's step-5 quantizer, through ``alice_finalize``: 1 above q_plus,
+    0 below q_minus, and a guard-band sample (bounds included) aborts."""
+
+    @pytest.mark.parametrize("x,expected", [(5.0, 1), (-2.0, 0), (0.0, None), (1.0, None), (-1.0, None)])
     def test_levels_and_strictness(self, x, expected):
         t = Thresholds(q_plus=1.0, q_minus=-1.0, alpha=1.0)
-        assert quantize_sample(x, t) is expected if expected is UNDEFINED_E else quantize_sample(x, t) == expected
+        idx = np.arange(3)
+        # the first two samples key the MAC; the sample under test is the key bit
+        reply = ProtocolMessage("reply", idx, mac_compute(BitString([1, 0]), idx.astype(">u8").tobytes()))
+        samples = np.array([5.0, -2.0, x])
+        if expected is None:
+            with pytest.raises(ProtocolAbort) as exc:
+                alice_finalize(reply, samples, t, 2)
+            assert exc.value.reason == "fake_L"
+        else:
+            assert alice_finalize(reply, samples, t, 2) == BitString([expected])
 
 
 class TestFindExcursions:
@@ -218,12 +227,19 @@ class TestMac:
     def test_message_sensitivity_and_length_prefix(self):
         key = BitString(np.ones(128, dtype=np.uint8))
         assert mac_compute(key, b"ab") != mac_compute(key, b"ac")
-        # zero padding must not collide with explicit trailing zeros
+        # a message must not collide with itself plus trailing zero bytes
         assert mac_compute(key, b"ab") != mac_compute(key, b"ab\x00")
 
     def test_empty_message(self):
         tag = mac_compute(BitString([1, 0, 1]), b"")
         assert len(tag) == 128
+
+    @pytest.mark.parametrize("n_bits", [3, 128])
+    def test_known_answer_is_truncated_hmac_sha256(self, n_bits):
+        key = BitString(np.random.default_rng(n_bits).integers(0, 2, n_bits).astype(np.uint8))
+        msg = np.arange(7, dtype=">u8").tobytes()
+        want = hmac.new(key.to_bytes(), msg, hashlib.sha256).digest()[:16]
+        assert mac_compute(key, msg).to_bytes() == want
 
     def test_key_length_validation(self):
         with pytest.raises(ValueError):
@@ -331,9 +347,7 @@ class TestProtocolSteps:
         _, cfg, u_x, u_y, t_x, t_y = noiseless_run
         L = alice_select(find_excursions(u_x, t_x, cfg.m), 1.0, cfg.seed)
         reply, key_bob = bob_reply(L, u_y, t_y, cfg.m, cfg.n_au)
-        result = alice_finalize(reply, u_x, t_x, cfg.n_au)
-        assert result.authenticated and result.aborted_reason is None
-        assert result.key_alice == key_bob
+        assert alice_finalize(reply, u_x, t_x, cfg.n_au) == key_bob
 
     def test_tampered_index_fails_mac(self, noiseless_run):
         _, cfg, u_x, u_y, t_x, t_y = noiseless_run
@@ -345,9 +359,9 @@ class TestProtocolSteps:
         tampered_idx = np.sort(np.concatenate([np.delete(reply.indices, 40), [L.indices[L.indices != dropped][0]]]))
         tampered_idx = np.unique(tampered_idx)
         tampered = ProtocolMessage("reply", tampered_idx, reply.mac_tag)
-        result = alice_finalize(tampered, u_x, t_x, cfg.n_au)
-        assert not result.authenticated
-        assert result.aborted_reason == "mac_failure"
+        with pytest.raises(ProtocolAbort) as exc:
+            alice_finalize(tampered, u_x, t_x, cfg.n_au)
+        assert exc.value.reason == "mac_failure"
 
     def test_alice_finalize_guard_band_index_aborts(self, noiseless_run):
         _, cfg, u_x, u_y, t_x, t_y = noiseless_run

@@ -348,6 +348,28 @@ class TestBpKernelDigests:
         assert {k[0] for k in BP_DIGESTS} == {"code400", "code4096"}
 
 
+class TestCheckNodeUpdate:
+    """Byte-level gate on the check-node messages, which the decode-output
+    gates cannot see: BP absorbs a 1-ulp message change."""
+
+    @pytest.mark.parametrize("chk_deg", [3, reconcile.CHECK_DEGREE, 8])
+    def test_messages_match_cumprod_formula_bytes(self, chk_deg):
+        m = 4000
+        rng = np.random.default_rng(chk_deg)
+        v2c = rng.normal(0.0, 6.0, m * chk_deg)
+        v2c[rng.random(v2c.size) < 0.05] = 0.0  # erased inputs: tanh = 0
+        v2c[rng.random(v2c.size) < 0.05] = _kernels.CLAMP  # clamped: tanh within 2e-13 of 1
+        sign = rng.choice([-1.0, 1.0], size=(m, 1))
+        got = _kernels.check_node_update(v2c, sign, _kernels.check_node_buffers(m, chk_deg))
+
+        t = np.tanh(v2c.reshape(m, chk_deg) * 0.5)
+        ones = np.ones((m, 1))
+        pre = np.cumprod(np.hstack([ones, t[:, :-1]]), axis=1)
+        suf = np.cumprod(np.hstack([ones, t[:, :0:-1]]), axis=1)[:, ::-1]
+        want = np.clip(2.0 * np.arctanh(pre * suf) * sign, -_kernels.CLAMP, _kernels.CLAMP)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestReferenceEquivalence:
     def test_zero_syndrome_bit_exact_vs_reference(self, code400):
         # the packaged kernel must reproduce an independently structured
