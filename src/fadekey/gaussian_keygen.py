@@ -232,9 +232,9 @@ def llr_soft_error(y, e, v: int, P, N) -> np.ndarray:
     closed form, not the exact log-posterior ratio, even at v = 1: h uses
     the spread of X given Y, (x_j - rho*y)^2, and in unit form exceeds the
     negative log-likelihood of y given x_j by (x_j^2 - y^2)/2, so each cell
-    is weighted by its point's density although the cells are equiprobable.  y and e broadcast
-    against each other; the result has their shape plus a trailing axis of
-    length v.
+    is weighted by its point's density although the cells are equiprobable.
+    y and e broadcast against each other; the result has their shape plus a
+    trailing axis of length v.
     """
     if N <= 0:
         raise ValueError("N must be positive")
