@@ -101,46 +101,56 @@ def ldpc_generate(n: int, seed: int) -> LdpcCode:
     rng = np.random.default_rng(seed)
 
     chk_nbrs = np.full((m, CHECK_DEGREE), -1, dtype=np.int64)
-    # row n is a dummy all -1 row: the -1 of an empty check slot indexes it
-    var_nbrs = np.full((n + 1, VAR_DEGREE), -1, dtype=np.int64)
     chk_deg = np.zeros(m, dtype=np.int64)
+    # checks that share a variable with each check, one slot per shared
+    # variable and other check: 6 variables x 2 other checks
+    chk_adj = np.full((m, CHECK_DEGREE * (VAR_DEGREE - 1)), -1, dtype=np.int64)
+    adj_deg = np.zeros(m, dtype=np.int64)
 
     for v in range(n):
-        for k in range(VAR_DEGREE):
+        v_checks = np.empty(0, dtype=np.int64)
+        for _ in range(VAR_DEGREE):
             is_open = chk_deg < CHECK_DEGREE
-            is_open[var_nbrs[v, :k]] = False
+            is_open[v_checks] = False
             if not is_open.any():
                 raise ConstructionError(f"no attachable check for variable {v}")
-            pool = _farthest_open_checks(v, var_nbrs, chk_nbrs, is_open)
+            pool = _farthest_open_checks(v_checks, chk_adj, is_open)
             degs = chk_deg[pool]
             pool = pool[degs == degs.min()]
             c = int(pool[rng.integers(pool.size)])
 
-            var_nbrs[v, k] = c
             chk_nbrs[c, chk_deg[c]] = v
             chk_deg[c] += 1
+            # c is now adjacent to each of v's earlier checks, both ways
+            k = v_checks.size
+            chk_adj[c, adj_deg[c] : adj_deg[c] + k] = v_checks
+            adj_deg[c] += k
+            chk_adj[v_checks, adj_deg[v_checks]] = c
+            adj_deg[v_checks] += 1
+            v_checks = np.append(v_checks, c)
 
     assert (chk_deg == CHECK_DEGREE).all()
     return LdpcCode(n=n, chk_nbrs=np.sort(chk_nbrs, axis=1))
 
 
-def _farthest_open_checks(v, var_nbrs, chk_nbrs, is_open):
-    """The open checks farthest from variable ``v``, ascending.
+def _farthest_open_checks(start, chk_adj, is_open):
+    """The open checks farthest from the checks ``start``, ascending.
 
-    A check is open (``is_open``) if it is not full and not yet a neighbour
-    of ``v``.  Breadth-first search over the checks, one level per
-    check -> variable -> check step.  If some open checks stay unreachable,
-    those are the pool; otherwise the search stops at the level where the
-    last open check is reached, and the pool is the open checks first
-    reached there.  An empty slot (-1) of ``chk_nbrs`` picks the dummy
-    all -1 last row of ``var_nbrs``, and a -1 check picks the padding slot
-    of ``seen``, which is always set, so empty slots are never followed.
+    ``start`` holds the current checks of the variable being attached, and
+    ``chk_adj`` lists, for every check, the checks that share a variable
+    with it (-1 in empty slots).  A check is open (``is_open``) if it is
+    not full and not in ``start``.  Breadth-first search over the checks,
+    one level per check -> variable -> check step.  If some open checks
+    stay unreachable, those are the pool; otherwise the search stops at the
+    level where the last open check is reached, and the pool is the open
+    checks first reached there.  A -1 entry picks the padding slot of
+    ``seen``, which is always set, so empty slots are never followed.
     """
     m = is_open.size
     seen = np.zeros(m + 1, dtype=bool)
     seen[m] = True
     unreached = is_open.copy()
-    cs = var_nbrs[v]
+    cs = start
     while True:
         # a mask frontier drops repeats and comes out in ascending order
         level = np.zeros(m + 1, dtype=bool)
@@ -152,7 +162,7 @@ def _farthest_open_checks(v, var_nbrs, chk_nbrs, is_open):
         unreached &= ~level[:m]
         if not unreached.any():
             return np.flatnonzero(level[:m] & is_open)
-        cs = var_nbrs[chk_nbrs[level[:m]]].ravel()
+        cs = chk_adj[level[:m]].ravel()
 
 
 def block_traces(code: LdpcCode, v: int, n: int, xs, ys):
@@ -249,17 +259,30 @@ def to_alist(code: LdpcCode) -> str:
 
 
 def from_alist(text: str) -> LdpcCode:
-    """Parse an alist produced by :func:`to_alist` (regular (3,6) only)."""
-    rows = [line.split() for line in text.strip().splitlines() if line.strip()]
-    n, m = int(rows[0][0]), int(rows[0][1])
-    max_vd, max_cd = int(rows[1][0]), int(rows[1][1])
-    if (max_vd, max_cd) != (VAR_DEGREE, CHECK_DEGREE):
+    """Parse an alist produced by :func:`to_alist` (regular (3,6) only).
+
+    Raises ``ValueError`` on any malformed input.
+    """
+    rows = [[int(tok) for tok in line.split()] for line in text.splitlines() if line.strip()]
+    if len(rows) < 2 or len(rows[0]) != 2 or len(rows[1]) != 2:
+        raise ValueError("alist must start with two lines of two integers")
+    (n, m), degrees = rows[0], rows[1]
+    if degrees != [VAR_DEGREE, CHECK_DEGREE]:
         raise ValueError("only (3,6)-regular alists are supported")
-    chk_rows = rows[4 + n : 4 + n + m]
-    chk_nbrs = np.array([[int(tok) - 1 for tok in r] for r in chk_rows], dtype=np.int64)
+    if n < 1 or 2 * m != n:
+        raise ValueError(f"alist header gives {m} checks for {n} variables, expected n/2")
+    if len(rows) != 4 + n + m:
+        raise ValueError(f"alist has {len(rows)} lines, expected {4 + n + m}")
+    var_rows, chk_rows = rows[4 : 4 + n], rows[4 + n :]
+    if (rows[2] != [VAR_DEGREE] * n or rows[3] != [CHECK_DEGREE] * m
+            or any(len(r) != VAR_DEGREE for r in var_rows)
+            or any(len(r) != CHECK_DEGREE for r in chk_rows)):
+        raise ValueError("alist degree lists or row lengths are not (3,6)-regular")
+    chk_nbrs = np.array(chk_rows, dtype=np.int64) - 1
+    if chk_nbrs.min() < 0 or chk_nbrs.max() >= n:
+        raise ValueError(f"alist variable index outside 1..{n}")
     code = LdpcCode(n=n, chk_nbrs=np.sort(chk_nbrs, axis=1))
     # cross-check the variable-side lists against the check-side table
-    vn = [sorted(int(tok) - 1 for tok in r) for r in rows[4 : 4 + n]]
-    if vn != code.var_nbrs():
+    if [sorted(c - 1 for c in r) for r in var_rows] != code.var_nbrs():
         raise ValueError("alist variable and check adjacency lists disagree")
     return code

@@ -145,13 +145,22 @@ class TestLdpcGenerate:
 
 
 def _partial_graph(n, m, edges):
-    """Neighbour tables of a partial Tanner graph as ldpc_generate keeps them."""
-    chk_nbrs = np.full((m, 6), -1, dtype=np.int64)
-    var_nbrs = np.full((n + 1, 3), -1, dtype=np.int64)
+    """Per-variable checks and check-to-check table of a partial Tanner graph.
+
+    Edges are placed in order, as ldpc_generate places them: each new edge
+    (v, c) links c with every earlier check of v, in both directions.
+    """
+    var_checks = [[] for _ in range(n)]
+    chk_adj = np.full((m, 12), -1, dtype=np.int64)
+    fill = np.zeros(m, dtype=np.int64)
     for v, c in edges:
-        var_nbrs[v, np.flatnonzero(var_nbrs[v] < 0)[0]] = c
-        chk_nbrs[c, np.flatnonzero(chk_nbrs[c] < 0)[0]] = v
-    return var_nbrs, chk_nbrs
+        for other in var_checks[v]:
+            chk_adj[c, fill[c]] = other
+            chk_adj[other, fill[other]] = c
+            fill[c] += 1
+            fill[other] += 1
+        var_checks[v].append(c)
+    return [np.array(cs, dtype=np.int64) for cs in var_checks], chk_adj
 
 
 class TestFarthestOpenChecks:
@@ -159,11 +168,11 @@ class TestFarthestOpenChecks:
     # distance 3, checks 3 and 4 at distance 5; check 5 has no edges
     EDGES = [(0, 0), (1, 0), (2, 0), (1, 1), (2, 2), (3, 1), (4, 2), (3, 3), (4, 4)]
 
-    def _pool(self, open_checks):
-        var_nbrs, chk_nbrs = _partial_graph(6, 6, self.EDGES)
+    def _pool(self, open_checks, edges=EDGES):
+        var_checks, chk_adj = _partial_graph(6, 6, edges)
         is_open = np.zeros(6, dtype=bool)
         is_open[open_checks] = True
-        return reconcile._farthest_open_checks(0, var_nbrs, chk_nbrs, is_open).tolist()
+        return reconcile._farthest_open_checks(var_checks[0], chk_adj, is_open).tolist()
 
     def test_unreachable_open_checks_win(self):
         assert self._pool([1, 3, 5]) == [5]
@@ -175,10 +184,19 @@ class TestFarthestOpenChecks:
         assert self._pool([2, 1]) == [1, 2]
 
     def test_no_edges_yet_returns_every_open_check(self):
-        var_nbrs, chk_nbrs = _partial_graph(6, 6, [])
+        var_checks, chk_adj = _partial_graph(6, 6, [])
         is_open = np.array([True, False, True, True, False, True])
-        pool = reconcile._farthest_open_checks(0, var_nbrs, chk_nbrs, is_open)
+        pool = reconcile._farthest_open_checks(var_checks[0], chk_adj, is_open)
         assert pool.tolist() == [0, 2, 3, 5]
+
+    def test_duplicate_slots_leave_the_pool_unchanged(self):
+        # variable 5 closes a 4-cycle: checks 1 and 3 then share variables 3
+        # and 5, so each lists the other twice, at the same distances
+        edges = self.EDGES + [(5, 1), (5, 3)]
+        _, chk_adj = _partial_graph(6, 6, edges)
+        assert chk_adj[1].tolist().count(3) == 2 and chk_adj[3].tolist().count(1) == 2
+        for open_checks in ([1, 3, 5], [1, 2, 3, 4, 5], [1, 3, 4], [4, 1], [2, 1]):
+            assert self._pool(open_checks, edges) == self._pool(open_checks)
 
 
 # ---------------------------------------------------------------- syndrome
@@ -480,3 +498,22 @@ class TestAlist:
         assert lines[0] == "8 4"
         assert lines[1] == "3 6"
         assert len(lines) == 4 + 8 + 4
+
+    def test_header_with_wrong_check_count_rejected(self, code8):
+        lines = to_alist(code8).splitlines()
+        lines[0] = "8 5"
+        with pytest.raises(ValueError, match="expected n/2"):
+            from_alist("\n".join(lines))
+
+    def test_out_of_range_index_rejected(self, code8):
+        lines = to_alist(code8).splitlines()
+        row = lines[-1].split()
+        row[0] = "99"
+        lines[-1] = " ".join(row)
+        with pytest.raises(ValueError, match="outside 1..8"):
+            from_alist("\n".join(lines))
+
+    def test_truncated_after_degree_line_rejected(self, code8):
+        lines = to_alist(code8).splitlines()
+        with pytest.raises(ValueError, match="lines, expected 16"):
+            from_alist("\n".join(lines[:4]))
