@@ -26,6 +26,7 @@ from __future__ import annotations
 import hmac
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import j0, jn_zeros
@@ -235,46 +236,64 @@ def _excursion_state(x: np.ndarray, t: Thresholds) -> np.ndarray:
     return np.where(x > t.q_plus, 1, np.where(x < t.q_minus, -1, 0)).astype(np.int8)
 
 
-def find_excursions(x, t: Thresholds, m: int) -> list[Excursion]:
-    """All maximal runs of >= m samples strictly beyond a threshold."""
-    x = np.asarray(x, dtype=np.float64)
+class _Runs(NamedTuple):
+    starts: np.ndarray
+    ends: np.ndarray  # exclusive
+    signs: np.ndarray
+
+
+def _runs(x: np.ndarray, t: Thresholds, m: int) -> _Runs:
+    """The maximal runs of >= m samples strictly beyond a threshold."""
     if m < 1:
         raise ValueError("m must be >= 1")
     state = _excursion_state(x, t)
-    out = []
-    boundaries = np.flatnonzero(np.diff(state)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [state.size]])
-    for s, e in zip(starts, ends):
-        if state[s] != 0 and e - s >= m:
-            out.append(Excursion(int(s), int(e - 1), int(state[s])))
-    return out
+    change = np.flatnonzero(state[1:] != state[:-1]) + 1
+    starts = np.concatenate([[0], change])
+    ends = np.concatenate([change, [state.size]])
+    signs = state[starts]
+    keep = (signs != 0) & (ends - starts >= m)
+    return _Runs(starts[keep], ends[keep], signs[keep])
+
+
+def find_excursions(x, t: Thresholds, m: int) -> list[Excursion]:
+    """All maximal runs of >= m samples strictly beyond a threshold."""
+    runs = _runs(np.asarray(x, dtype=np.float64), t, m)
+    return [Excursion(s, e - 1, g) for s, e, g in zip(*(a.tolist() for a in runs))]
 
 
 def _excursion_mask(x: np.ndarray, t: Thresholds, m: int) -> np.ndarray:
     """Boolean mask of samples covered by a qualifying excursion."""
-    mask = np.zeros(x.size, dtype=bool)
-    for exc in find_excursions(x, t, m):
-        mask[exc.start_index : exc.end_index + 1] = True
-    return mask
+    starts, ends, _ = _runs(x, t, m)
+    edges = np.zeros(x.size + 1, dtype=np.int64)
+    edges[starts] += 1
+    edges[ends] -= 1
+    return np.cumsum(edges[:-1]) > 0
 
 
 def alice_select(excursions, select_fraction, seed) -> ProtocolMessage:
     """Announce the centers of a random subset of Alice's excursions.
 
-    The subset size is ceil(select_fraction * count), at least 1 when any
-    excursion exists; each center is floor((start + end) / 2).  The index
-    list is sorted ascending.
+    ``excursions`` is the list ``find_excursions`` returns, or the arrays
+    of its run pass, which ``run_protocol`` passes so that no object is
+    built per excursion.  The subset size is ceil(select_fraction * count),
+    at least 1 when any excursion exists; each center is
+    floor((start + end) / 2) with the end inclusive.  The index list is
+    sorted ascending.
     """
     if not 0 < select_fraction <= 1:
         raise ValueError("select_fraction must lie in (0, 1]")
-    if not excursions:
+    if isinstance(excursions, _Runs):
+        starts, last = excursions.starts, excursions.ends - 1
+    else:
+        starts = np.array([e.start_index for e in excursions], dtype=np.int64)
+        last = np.array([e.end_index for e in excursions], dtype=np.int64)
+    if not starts.size:
         return ProtocolMessage("index_list", np.empty(0, dtype=np.int64))
-    k = max(1, math.ceil(select_fraction * len(excursions)))
+    k = max(1, math.ceil(select_fraction * starts.size))
     rng = np.random.default_rng([seed])
-    chosen = rng.choice(len(excursions), size=k, replace=False)
-    centers = sorted((excursions[i].start_index + excursions[i].end_index) // 2 for i in chosen)
-    return ProtocolMessage("index_list", np.array(centers, dtype=np.int64))
+    chosen = rng.choice(starts.size, size=k, replace=False)
+    centers = (starts + last) // 2
+    return ProtocolMessage("index_list", np.sort(centers[chosen]))
 
 
 def _message_indices(L, n: int) -> np.ndarray:
@@ -410,8 +429,7 @@ def run_protocol(probe_record, config: LevelCrossConfig) -> KeyAgreementResult:
     t_x = compute_thresholds(u_x, config.alpha)
     t_y = compute_thresholds(u_y, config.alpha)
 
-    excursions = find_excursions(u_x, t_x, config.m)
-    msg_l = alice_select(excursions, config.select_fraction, config.seed)
+    msg_l = alice_select(_runs(u_x, t_x, config.m), config.select_fraction, config.seed)
 
     try:
         if not bob_check(msg_l, u_y, t_y, config.m, config.epsilon):

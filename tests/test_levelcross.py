@@ -6,10 +6,11 @@ reproducible; tolerances were sized from across-seed spread before freezing.
 
 import hashlib
 import hmac
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import j0
 
@@ -26,6 +27,8 @@ from fadekey.levelcross import (
     ProtocolAbort,
     ProtocolMessage,
     Thresholds,
+    _excursion_mask,
+    _runs,
     alice_amplification,
     alice_finalize,
     alice_select,
@@ -51,6 +54,35 @@ def make_record(P, N, fd, fs, n_probes, seed, d_over_lambda=None):
     params = ChannelParams(P, N, N, fd, fs, carrier_wavelength_lambda=lam, eve_distance_d=d)
     trace = gen_fading_trace(params, 2 * n_probes, seed)
     return probe_sequence(trace, params, seed + 1000)
+
+
+def reference_excursions(x, t, m):
+    """(start, end, sign) of each maximal run of >= m samples strictly beyond
+    a threshold, ends inclusive, found one sample at a time."""
+    out, start, sign = [], 0, 0
+    for i, v in enumerate(x):
+        s = 1 if v > t.q_plus else -1 if v < t.q_minus else 0
+        if s != sign:
+            if sign and i - start >= m:
+                out.append((start, i - 1, sign))
+            start, sign = i, s
+    if sign and len(x) - start >= m:
+        out.append((start, len(x) - 1, sign))
+    return out
+
+
+def reference_mask(x, t, m):
+    mask = np.zeros(len(x), dtype=bool)
+    for start, end, _ in reference_excursions(x, t, m):
+        mask[start : end + 1] = True
+    return mask
+
+
+def reference_select(excursions, select_fraction, seed):
+    """Announced centers as a per-excursion generator computes them."""
+    k = max(1, math.ceil(select_fraction * len(excursions)))
+    chosen = np.random.default_rng([seed]).choice(len(excursions), size=k, replace=False)
+    return sorted((excursions[i].start_index + excursions[i].end_index) // 2 for i in chosen)
 
 
 def lag1_correlation(bits):
@@ -174,6 +206,28 @@ class TestFindExcursions:
                 assert e.start_index == 0 or not x[e.start_index - 1] < t.q_minus
                 assert e.end_index == x.size - 1 or not x[e.end_index + 1] < t.q_minus
 
+    # levels +-0.5 sit on the thresholds, so they belong to the guard band
+    @given(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=1, max_size=60), st.integers(1, 6))
+    @settings(max_examples=300, deadline=None)
+    @example([1.0, 1.0, 0.0, -1.0, -1.0], 2)  # runs at index 0 and at the last sample
+    @example([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0], 3)  # adjacent opposite-sign runs
+    @example([0.5, -0.5, 0.0, 0.5], 1)  # all guard band
+    @example([-1.0], 1)
+    def test_runs_and_mask_match_per_sample_loop(self, x, m):
+        t = Thresholds(0.5, -0.5, 0.5)
+        exc = find_excursions(x, t, m)
+        assert [(e.start_index, e.end_index, e.sign) for e in exc] == reference_excursions(x, t, m)
+        assert np.array_equal(_excursion_mask(np.asarray(x), t, m), reference_mask(x, t, m))
+
+    @given(st.integers(0, 2**31), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_runs_and_mask_match_per_sample_loop_on_gaussian_traces(self, seed, m):
+        x = np.random.default_rng(seed).normal(size=500)
+        t = compute_thresholds(x, 0.125)
+        exc = find_excursions(x, t, m)
+        assert [(e.start_index, e.end_index, e.sign) for e in exc] == reference_excursions(x, t, m)
+        assert np.array_equal(_excursion_mask(x, t, m), reference_mask(x, t, m))
+
 
 class TestAliceSelect:
     def test_center_formula(self):
@@ -204,6 +258,15 @@ class TestAliceSelect:
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
             alice_select([Excursion(0, 3, 1)], 0.0, 0)
+
+    @pytest.mark.parametrize("fraction", [0.35, 0.4])
+    @pytest.mark.parametrize("seed", [0, 1, 9])
+    def test_subset_matches_per_excursion_selection(self, fraction, seed):
+        x = np.random.default_rng(seed).normal(size=2000)
+        t = compute_thresholds(x, 0.125)
+        want = reference_select(find_excursions(x, t, 2), fraction, seed)
+        assert alice_select(find_excursions(x, t, 2), fraction, seed).indices.tolist() == want
+        assert alice_select(_runs(x, t, 2), fraction, seed).indices.tolist() == want
 
 
 class TestMac:
