@@ -326,7 +326,7 @@ def _run_levelcross_sim(p) -> None:
     record = probe_sequence(trace, ch, seed=p["seed"])
     result = run_protocol(record, cfg)
     payload = {
-        "key_len": len(result.key_alice) if result.key_alice is not None else 0,
+        "key_len": len(result.key_alice),
         "agreement": result.agreement,
         "aborted": result.aborted_reason,
         "bps": result.bits_per_second,

@@ -26,7 +26,6 @@ from __future__ import annotations
 import hmac
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import j0, jn_zeros
@@ -38,7 +37,6 @@ from .reconcile import privacy_amplify
 __all__ = [
     "ProtocolAbort",
     "Thresholds",
-    "Excursion",
     "ProtocolMessage",
     "AmplificationNotice",
     "KeyAgreementResult",
@@ -101,22 +99,6 @@ class Thresholds:
             raise ValueError("q_minus must not exceed q_plus")
         if self.alpha > 0 and not self.q_minus < self.q_plus:
             raise ValueError("positive alpha requires separated thresholds")
-
-
-@dataclass
-class Excursion:
-    start_index: int  # 0-based, inclusive
-    end_index: int  # 0-based, inclusive
-    sign: int  # +1 above q_plus, -1 below q_minus
-
-    def __post_init__(self):
-        if self.start_index > self.end_index:
-            raise ValueError("start_index must not exceed end_index")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-    def __len__(self):
-        return self.end_index - self.start_index + 1
 
 
 @dataclass
@@ -186,8 +168,8 @@ class LevelCrossConfig:
             raise ValueError("window must be odd and >= 1")
         if not 0 < self.epsilon < 0.5:
             raise ValueError("epsilon must lie in (0, 0.5)")
-        if self.m < 1 or self.n_au < 1:
-            raise ValueError("m and n_au must be >= 1")
+        if self.m < 1 or not 1 <= self.n_au <= _MAC_BITS:
+            raise ValueError(f"m must be >= 1 and n_au in 1..{_MAC_BITS}, the MAC key length")
         if not 0 < self.select_fraction <= 1:
             raise ValueError("select_fraction must lie in (0, 1]")
         if self.alpha < 0:
@@ -236,69 +218,52 @@ def _excursion_state(x: np.ndarray, t: Thresholds) -> np.ndarray:
     return np.where(x > t.q_plus, 1, np.where(x < t.q_minus, -1, 0)).astype(np.int8)
 
 
-class _Runs(NamedTuple):
-    starts: np.ndarray
-    ends: np.ndarray  # exclusive
-    signs: np.ndarray
-
-
-def _runs(x: np.ndarray, t: Thresholds, m: int) -> _Runs:
-    """The maximal runs of >= m samples strictly beyond a threshold."""
+def find_excursions(x, t: Thresholds, m: int) -> np.ndarray:
+    """All maximal runs of >= m samples strictly beyond a threshold, in order:
+    one int64 row (start, end inclusive, sign +1 above q_plus or -1 below q_minus) each."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    state = _excursion_state(x, t)
+    state = _excursion_state(np.asarray(x, dtype=np.float64), t)
     change = np.flatnonzero(state[1:] != state[:-1]) + 1
     starts = np.concatenate([[0], change])
-    ends = np.concatenate([change, [state.size]])
+    ends = np.concatenate([change, [state.size]]) - 1
     signs = state[starts]
-    keep = (signs != 0) & (ends - starts >= m)
-    return _Runs(starts[keep], ends[keep], signs[keep])
+    keep = (signs != 0) & (ends - starts >= m - 1)
+    return np.stack([starts[keep], ends[keep], signs[keep]], axis=1).astype(np.int64, copy=False)
 
 
-def find_excursions(x, t: Thresholds, m: int) -> list[Excursion]:
-    """All maximal runs of >= m samples strictly beyond a threshold."""
-    runs = _runs(np.asarray(x, dtype=np.float64), t, m)
-    return [Excursion(s, e - 1, g) for s, e, g in zip(*(a.tolist() for a in runs))]
-
-
-def _excursion_mask(x: np.ndarray, t: Thresholds, m: int) -> np.ndarray:
-    """Boolean mask of samples covered by a qualifying excursion."""
-    starts, ends, _ = _runs(x, t, m)
-    edges = np.zeros(x.size + 1, dtype=np.int64)
-    edges[starts] += 1
-    edges[ends] -= 1
-    return np.cumsum(edges[:-1]) > 0
+def _inside_excursions(idx: np.ndarray, y: np.ndarray, t: Thresholds, m: int) -> np.ndarray:
+    """Which of the indices ``idx`` fall inside one of y's runs of >= m samples."""
+    runs = find_excursions(y, t, m)
+    # an index lies in the last run starting at or before it iff that run's end is >= it;
+    # the leading -1 is the end of "no run", for an index before every start
+    ends = np.concatenate([[-1], runs[:, 1]])
+    return idx <= ends[np.searchsorted(runs[:, 0], idx, side="right")]
 
 
 def alice_select(excursions, select_fraction, seed) -> ProtocolMessage:
     """Announce the centers of a random subset of Alice's excursions.
 
-    ``excursions`` is the list ``find_excursions`` returns, or the arrays
-    of its run pass, which ``run_protocol`` passes so that no object is
-    built per excursion.  The subset size is ceil(select_fraction * count),
-    at least 1 when any excursion exists; each center is
-    floor((start + end) / 2) with the end inclusive.  The index list is
-    sorted ascending.
+    ``excursions`` holds the (start, end, sign) rows ``find_excursions``
+    returns.  The subset size is ceil(select_fraction * count), at least 1
+    when any excursion exists; each center is floor((start + end) / 2) with
+    the end inclusive.  The index list is sorted ascending.
     """
     if not 0 < select_fraction <= 1:
         raise ValueError("select_fraction must lie in (0, 1]")
-    if isinstance(excursions, _Runs):
-        starts, last = excursions.starts, excursions.ends - 1
-    else:
-        starts = np.array([e.start_index for e in excursions], dtype=np.int64)
-        last = np.array([e.end_index for e in excursions], dtype=np.int64)
-    if not starts.size:
+    runs = np.asarray(excursions, dtype=np.int64).reshape(-1, 3)
+    if not runs.size:
         return ProtocolMessage("index_list", np.empty(0, dtype=np.int64))
-    k = max(1, math.ceil(select_fraction * starts.size))
+    k = max(1, math.ceil(select_fraction * len(runs)))
     rng = np.random.default_rng([seed])
-    chosen = rng.choice(starts.size, size=k, replace=False)
-    centers = (starts + last) // 2
+    chosen = rng.choice(len(runs), size=k, replace=False)
+    centers = (runs[:, 0] + runs[:, 1]) // 2
     return ProtocolMessage("index_list", np.sort(centers[chosen]))
 
 
-def _message_indices(L, n: int) -> np.ndarray:
-    """A message's (or a bare list's) indices; any outside [0, n) aborts "fake_L"."""
-    idx = np.asarray(L.indices if isinstance(L, ProtocolMessage) else L, dtype=np.int64)
+def _message_indices(msg: ProtocolMessage, n: int) -> np.ndarray:
+    """A message's indices; any outside [0, n) aborts "fake_L"."""
+    idx = msg.indices
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ProtocolAbort("fake_L")
     return idx
@@ -317,8 +282,7 @@ def bob_check(L, y, t: Thresholds, m: int, epsilon) -> bool:
     idx = _message_indices(L, y.size)
     if idx.size == 0:
         return False
-    mask = _excursion_mask(y, t, max(m - 1, 1))
-    return float(mask[idx].mean()) >= 0.5 + epsilon
+    return float(_inside_excursions(idx, y, t, max(m - 1, 1)).mean()) >= 0.5 + epsilon
 
 
 def bob_reply(L, y, t: Thresholds, m: int, n_au: int):
@@ -332,8 +296,7 @@ def bob_reply(L, y, t: Thresholds, m: int, n_au: int):
     """
     y = np.asarray(y, dtype=np.float64)
     idx = _message_indices(L, y.size)
-    mask = _excursion_mask(y, t, max(m - 1, 1))
-    l_tilde = idx[mask[idx]] if idx.size else idx
+    l_tilde = idx[_inside_excursions(idx, y, t, max(m - 1, 1))]
     bits = BitString((y[l_tilde] > t.q_plus).astype(np.uint8))
     if len(bits) <= n_au:
         raise ProtocolAbort("insufficient_bits")
@@ -429,7 +392,7 @@ def run_protocol(probe_record, config: LevelCrossConfig) -> KeyAgreementResult:
     t_x = compute_thresholds(u_x, config.alpha)
     t_y = compute_thresholds(u_y, config.alpha)
 
-    msg_l = alice_select(_runs(u_x, t_x, config.m), config.select_fraction, config.seed)
+    msg_l = alice_select(find_excursions(u_x, t_x, config.m), config.select_fraction, config.seed)
 
     try:
         if not bob_check(msg_l, u_y, t_y, config.m, config.epsilon):
