@@ -224,6 +224,8 @@ def find_excursions(x, t: Thresholds, m: int) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     state = _excursion_state(np.asarray(x, dtype=np.float64), t)
+    if not state.size:
+        return np.empty((0, 3), dtype=np.int64)
     change = np.flatnonzero(state[1:] != state[:-1]) + 1
     starts = np.concatenate([[0], change])
     ends = np.concatenate([change, [state.size]]) - 1

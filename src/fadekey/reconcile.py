@@ -59,12 +59,17 @@ class LdpcCode:
         return self.chk_nbrs.ravel()
 
     def var_nbrs(self) -> list:
-        """Per-variable check lists (ascending), derived from the check table."""
-        out = [[] for _ in range(self.n)]
-        for c in range(self.n_checks):
-            for v in self.chk_nbrs[c]:
-                out[int(v)].append(c)
-        return [sorted(lst) for lst in out]
+        """Per-variable check lists (ascending), derived from the check table.
+
+        Raises ``ValueError`` unless every variable lies on exactly
+        ``VAR_DEGREE`` edges.
+        """
+        counts = np.bincount(self.edge_var, minlength=self.n)
+        if counts.size != self.n or (counts != VAR_DEGREE).any():
+            raise ValueError(f"variable degrees are not all {VAR_DEGREE}")
+        # a stable sort groups the edges by variable, each group in check order
+        order = np.argsort(self.edge_var, kind="stable")
+        return (order // CHECK_DEGREE).reshape(self.n, VAR_DEGREE).tolist()
 
 
 @dataclass
@@ -94,6 +99,13 @@ def ldpc_generate(n: int, seed: int) -> LdpcCode:
     unreachable) non-full check in the bipartite graph grown so far, which
     suppresses short cycles; ties fall to the lowest-degree checks and are
     broken by the seeded generator.  Deterministic for a fixed seed.
+
+    Every check carries the label of its connected component in the
+    check-to-check graph; labels merge as edges link checks.  The open
+    checks outside the variable's component (all of them, for its first
+    edge) are exactly the unreachable ones, so when there are any they are
+    the pool without a search, and :func:`_farthest_open_checks` runs only
+    when every open check is reachable.
     """
     if n % 4 != 0 or n < 8:
         raise ConstructionError(f"n must be a multiple of 4 and >= 8, got {n}")
@@ -102,32 +114,43 @@ def ldpc_generate(n: int, seed: int) -> LdpcCode:
 
     chk_nbrs = np.full((m, CHECK_DEGREE), -1, dtype=np.int64)
     chk_deg = np.zeros(m, dtype=np.int64)
+    not_full = np.ones(m, dtype=bool)
     # checks that share a variable with each check, one slot per shared
     # variable and other check: 6 variables x 2 other checks
     chk_adj = np.full((m, CHECK_DEGREE * (VAR_DEGREE - 1)), -1, dtype=np.int64)
     adj_deg = np.zeros(m, dtype=np.int64)
+    # connected-component label of every check in the check-to-check graph
+    comp = np.arange(m)
 
     for v in range(n):
-        v_checks = np.empty(0, dtype=np.int64)
+        v_checks = []
         for _ in range(VAR_DEGREE):
-            is_open = chk_deg < CHECK_DEGREE
+            is_open = not_full.copy()
             is_open[v_checks] = False
             if not is_open.any():
                 raise ConstructionError(f"no attachable check for variable {v}")
-            pool = _farthest_open_checks(v_checks, chk_adj, is_open)
+            # open checks outside v's component are exactly those no search reaches
+            outside = is_open & (comp != comp[v_checks[0]]) if v_checks else is_open
+            pool = outside.nonzero()[0]
+            if not pool.size:
+                pool = _farthest_open_checks(v_checks, chk_adj, is_open)
             degs = chk_deg[pool]
             pool = pool[degs == degs.min()]
             c = int(pool[rng.integers(pool.size)])
 
             chk_nbrs[c, chk_deg[c]] = v
             chk_deg[c] += 1
+            if chk_deg[c] == CHECK_DEGREE:
+                not_full[c] = False
             # c is now adjacent to each of v's earlier checks, both ways
-            k = v_checks.size
-            chk_adj[c, adj_deg[c] : adj_deg[c] + k] = v_checks
-            adj_deg[c] += k
-            chk_adj[v_checks, adj_deg[v_checks]] = c
-            adj_deg[v_checks] += 1
-            v_checks = np.append(v_checks, c)
+            k = len(v_checks)
+            if k:
+                chk_adj[c, adj_deg[c] : adj_deg[c] + k] = v_checks
+                adj_deg[c] += k
+                chk_adj[v_checks, adj_deg[v_checks]] = c
+                adj_deg[v_checks] += 1
+                comp[comp == comp[c]] = comp[v_checks[0]]
+            v_checks.append(c)
 
     assert (chk_deg == CHECK_DEGREE).all()
     return LdpcCode(n=n, chk_nbrs=np.sort(chk_nbrs, axis=1))
@@ -144,25 +167,29 @@ def _farthest_open_checks(start, chk_adj, is_open):
     stay unreachable, those are the pool; otherwise the search stops at the
     level where the last open check is reached, and the pool is the open
     checks first reached there.  A -1 entry picks the padding slot of
-    ``seen``, which is always set, so empty slots are never followed.
+    ``unseen``, which is always clear, so empty slots are never followed.
+    Each level costs a fixed handful of numpy calls: the frontier mask is
+    cleared of seen checks, its indices gather the next frontier straight
+    from ``chk_adj``, and ``unseen`` drops it by ``^=``.
     """
     m = is_open.size
-    seen = np.zeros(m + 1, dtype=bool)
-    seen[m] = True
+    unseen = np.ones(m + 1, dtype=bool)
+    unseen[m] = False
     unreached = is_open.copy()
-    cs = start
+    level = np.zeros(m + 1, dtype=bool)
+    level[start] = True
     while True:
         # a mask frontier drops repeats and comes out in ascending order
+        level &= unseen
+        idx = level.nonzero()[0]
+        if not idx.size:
+            return unreached.nonzero()[0]
+        unseen ^= level
+        unreached &= unseen[:m]
+        if not np.count_nonzero(unreached):
+            return (level[:m] & is_open).nonzero()[0]
         level = np.zeros(m + 1, dtype=bool)
-        level[cs] = True
-        level &= ~seen
-        if not level.any():
-            return np.flatnonzero(unreached)
-        seen |= level
-        unreached &= ~level[:m]
-        if not unreached.any():
-            return np.flatnonzero(level[:m] & is_open)
-        cs = chk_adj[level[:m]].ravel()
+        level[chk_adj[idx]] = True
 
 
 def block_traces(code: LdpcCode, v: int, n: int, xs, ys):

@@ -184,6 +184,12 @@ class TestFindExcursions:
     def test_all_zeros_empty(self):
         assert find_excursions(np.zeros(10), Thresholds(1.0, -1.0, 1.0), 1).shape == (0, 3)
 
+    def test_empty_trace_empty(self):
+        t = Thresholds(1.0, -1.0, 1.0)
+        exc = find_excursions([], t, 1)
+        assert exc.shape == (0, 3) and exc.dtype == np.int64
+        assert _inside_excursions(np.empty(0, dtype=np.int64), np.empty(0), t, 1).size == 0
+
     def test_min_length_filters(self):
         t = Thresholds(0.5, -0.5, 0.5)
         x = [0.9, 0.9, 0.0, -0.8, -0.8, -0.8]

@@ -66,7 +66,9 @@ class TestBitString:
 
 
 # sha256 of to_alist(ldpc_generate(n, seed)), recorded from the original
-# construction (full-graph BFS per edge); any rewrite must grow the same codes
+# construction (full-graph BFS per edge).  The check-to-check table, the
+# component labels that answer the unreachable case without a search and the
+# leaner BFS all grow these same codes; any rewrite must grow them too
 PEG_DIGESTS = {
     (8, 1): "0eeca1fb85547679b81cfd9ce3610c53eee2222849aa3e7d95d155dbd07736dd",
     (8, 2): "9e1831c62556f1f580ef44f7cc197d0a5d939d39d1439a553ea6ec89509e243b",
@@ -197,6 +199,74 @@ class TestFarthestOpenChecks:
         assert chk_adj[1].tolist().count(3) == 2 and chk_adj[3].tolist().count(1) == 2
         for open_checks in ([1, 3, 5], [1, 2, 3, 4, 5], [1, 3, 4], [4, 1], [2, 1]):
             assert self._pool(open_checks, edges) == self._pool(open_checks)
+
+
+def _reachable(start, chk_adj):
+    """Checks reachable from ``start`` over ``chk_adj``, by a plain traversal."""
+    seen, todo = set(start), list(start)
+    while todo:
+        for d in chk_adj[todo.pop()].tolist():
+            if d >= 0 and d not in seen:
+                seen.add(d)
+                todo.append(d)
+    return seen
+
+
+def _grow_by_search(n, seed):
+    """The check table of ldpc_generate(n, seed), grown with a search for every edge.
+
+    Component labels are kept beside the search and merged as ldpc_generate
+    merges them.  Before each edge of a variable that already has checks,
+    the open checks outside the variable's component must be exactly those
+    a plain traversal cannot reach, and, when there are any, the pool that
+    ``_farthest_open_checks`` returns.
+    """
+    m = n // 2
+    rng = np.random.default_rng(seed)
+    chk_nbrs = np.full((m, 6), -1, dtype=np.int64)
+    deg = np.zeros(m, dtype=np.int64)
+    chk_adj = np.full((m, 12), -1, dtype=np.int64)
+    fill = np.zeros(m, dtype=np.int64)
+    comp = np.arange(m)
+    for v in range(n):
+        v_checks = []
+        for _ in range(3):
+            is_open = deg < 6
+            is_open[v_checks] = False
+            if not is_open.any():
+                raise ConstructionError(f"no attachable check for variable {v}")
+            pool = reconcile._farthest_open_checks(np.array(v_checks, dtype=np.int64), chk_adj, is_open)
+            if v_checks:
+                outside = (is_open & (comp != comp[v_checks[0]])).nonzero()[0].tolist()
+                reach = _reachable(v_checks, chk_adj)
+                assert outside == [c for c in np.flatnonzero(is_open).tolist() if c not in reach]
+                if outside:
+                    assert pool.tolist() == outside
+            degs = deg[pool]
+            pool = pool[degs == degs.min()]
+            c = int(pool[rng.integers(pool.size)])
+            chk_nbrs[c, deg[c]] = v
+            deg[c] += 1
+            for other in v_checks:
+                chk_adj[c, fill[c]] = other
+                chk_adj[other, fill[other]] = c
+                fill[c] += 1
+                fill[other] += 1
+            if v_checks:
+                comp[comp == comp[c]] = comp[v_checks[0]]
+            v_checks.append(c)
+    return np.sort(chk_nbrs, axis=1)
+
+
+class TestComponentShortcut:
+    # ldpc_generate skips the search when some open checks lie outside the
+    # variable's component; growing with a search for every edge must give
+    # the same pools and the same code
+    @given(st.integers(2, 32), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_labels_give_the_search_pool(self, quarter, seed):
+        n = 4 * quarter
+        assert np.array_equal(_grow_by_search(n, seed), ldpc_generate(n, seed).chk_nbrs)
 
 
 # ---------------------------------------------------------------- syndrome
@@ -517,3 +587,27 @@ class TestAlist:
         lines = to_alist(code8).splitlines()
         with pytest.raises(ValueError, match="lines, expected 16"):
             from_alist("\n".join(lines[:4]))
+
+    def test_var_nbrs_match_a_per_check_loop(self, code400):
+        ref = [[] for _ in range(code400.n)]
+        for c, row in enumerate(code400.chk_nbrs.tolist()):
+            for v in row:
+                ref[v].append(c)
+        assert code400.var_nbrs() == ref
+
+    def test_irregular_variable_degrees_rejected(self, code8):
+        # move one edge of variable a onto a variable b outside its check: a
+        # then lies on two edges and b on four, yet every line keeps its
+        # (3, 6) length and the variable lines are the check table's edges
+        # grouped three at a time, in variable order
+        chk = code8.chk_nbrs.copy()
+        a = int(chk[0, 0])
+        b = next(v for v in range(8) if v not in chk[0])
+        chk[0, 0] = b
+        var_rows = (np.argsort(chk.ravel(), kind="stable") // 6).reshape(8, 3) + 1
+        lines = ["8 4", "3 6", " ".join(["3"] * 8), " ".join(["6"] * 4)]
+        lines += [" ".join(map(str, r)) for r in var_rows.tolist()]
+        lines += [" ".join(map(str, r)) for r in (np.sort(chk, axis=1) + 1).tolist()]
+        assert np.bincount(chk.ravel(), minlength=8)[[a, b]].tolist() == [2, 4]
+        with pytest.raises(ValueError, match="variable degrees"):
+            from_alist("\n".join(lines))
