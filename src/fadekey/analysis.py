@@ -16,13 +16,11 @@ import numpy as np
 from scipy.special import digamma, erfc, j0
 
 __all__ = [
-    "CovarianceModel",
     "McEstimate",
     "MiEstimate",
     "EstimateInfeasibleError",
     "MEASURED_MI_REFERENCE",
     "secret_key_capacity",
-    "build_covariance",
     "pe_levelcross",
     "rate_levelcross",
     "lcr",
@@ -50,30 +48,6 @@ MEASURED_MI_REFERENCE = {
 
 class EstimateInfeasibleError(RuntimeError):
     """Raised when a Monte Carlo ratio estimate has an empty denominator."""
-
-
-@dataclass
-class CovarianceModel:
-    matrix: np.ndarray  # covariance of the stacked estimate vector
-    m: int  # number of Alice estimates per observation
-    fs: float  # probe rate used for the time geometry
-    fd: float  # maximum Doppler shift
-    P: float  # fading power
-    N: float  # per-estimate noise variance
-    ordering: str  # "alice" (X_1..X_m) or "interleaved" (X_1,Y_1,...,X_m)
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        k = self.matrix
-        if k.ndim != 2 or k.shape[0] != k.shape[1]:
-            raise ValueError("covariance matrix must be square")
-        if not np.allclose(k, k.T, atol=1e-12):
-            raise ValueError("covariance matrix must be symmetric")
-        if not np.allclose(np.diag(k), self.P + self.N, rtol=1e-12, atol=1e-12):
-            raise ValueError("diagonal entries must equal P + N")
-        floor = -1e-9 * max(1.0, float(np.trace(k)))
-        if np.linalg.eigvalsh(k).min() < floor:
-            raise ValueError("covariance matrix is not positive semidefinite")
 
 
 @dataclass
@@ -109,37 +83,34 @@ def secret_key_capacity(P, N_A, N_B) -> float:
     return math.log2(1.0 + P / (N_A + N_B + N_A * N_B / P))
 
 
-def _estimate_times(m: int, fs: float):
-    """Alice's and Bob's estimate instants for one m-length observation."""
+def _observation_cov(m: int, fs, fd, P, N, onset: bool = False) -> np.ndarray:
+    """Covariance of one observation's probes under the TDD geometry.
+
+    Alice's m probes sit at k/fs, preceded with ``onset`` by one more of
+    hers at -1/fs; Bob's max(m - 1, 1) probes follow, each 1/(2 fs) after
+    the Alice probe of the same k.  Probes at lag t correlate as
+    P J0(2 pi fd t), and each adds its own noise N.
+    """
     t_alice = np.arange(m) / fs
     t_bob = np.arange(max(m - 1, 1)) / fs + 1.0 / (2.0 * fs)
-    return t_alice, t_bob
-
-
-def _cov_from_times(times: np.ndarray, fd, P, N) -> np.ndarray:
-    dt = np.abs(times[:, None] - times[None, :])
-    k = P * j0(2.0 * np.pi * fd * dt)
+    times = np.concatenate([[-1.0 / fs] if onset else [], t_alice, t_bob])
+    k = P * j0(2.0 * np.pi * fd * np.abs(times[:, None] - times[None, :]))
     k[np.diag_indices_from(k)] += N
     return k
 
 
-def build_covariance(m: int, fs, fd, P, N):
-    """Covariance models for one observation window.
-
-    Returns (K_m, K_2m1): K_m covers Alice's m estimates at times k/fs;
-    K_2m1 covers the chronologically interleaved vector
-    (X_1, Y_1, X_2, ..., Y_{m-1}, X_m) with Bob offset by 1/(2 fs).
-    """
+def _check_estimate_args(m, alpha, fs, fd, P, N, n_trials) -> None:
+    """Reject an estimator argument outside its domain, naming it."""
+    if n_trials < MIN_TRIALS:
+        raise ValueError(f"n_trials must be >= {MIN_TRIALS}")
     if m < 1:
         raise ValueError("m must be >= 1")
-    t_alice = np.arange(m) / fs
-    k_m = CovarianceModel(_cov_from_times(t_alice, fd, P, N), m, fs, fd, P, N, "alice")
-    t_bob = np.arange(m - 1) / fs + 1.0 / (2.0 * fs)
-    times = np.empty(2 * m - 1)
-    times[0::2] = t_alice
-    times[1::2] = t_bob
-    k_i = CovarianceModel(_cov_from_times(times, fd, P, N), m, fs, fd, P, N, "interleaved")
-    return k_m, k_i
+    for name, value in (("fs", fs), ("P", P)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    for name, value in (("alpha", alpha), ("fd", fd), ("N", N)):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
 def _sampling_matrix(k: np.ndarray) -> np.ndarray:
@@ -160,31 +131,26 @@ def _wilson(successes: int, n: int):
     return center - half, center + half
 
 
-def pe_levelcross(m: int, alpha, cov: CovarianceModel, n_trials: int, seed) -> McEstimate:
+def pe_levelcross(m: int, alpha, fs, fd, P, N, n_trials: int, seed) -> McEstimate:
     """Probability that Bob reads the opposite bit given Alice committed.
 
     Monte Carlo ratio of orthant probabilities under the joint Gaussian
-    model: numerator = {Alice's m estimates all > q_plus and Bob's
+    model of one observation (fading power P, noise variance N, Doppler fd,
+    probe rate fs): numerator = {Alice's m estimates all > q_plus and Bob's
     max(m-1, 1) estimates all < q_minus}, denominator = {Alice's all >
     q_plus}, with q_plus/minus = +/- alpha * sqrt(P + N) and strict
     inequalities throughout.  Returns the estimate with a 95% Wilson CI
     conditional on the denominator count.
     """
-    if n_trials < MIN_TRIALS:
-        raise ValueError(f"n_trials must be >= {MIN_TRIALS}")
-    if m < 1 or m != cov.m:
-        raise ValueError("m must be >= 1 and match the covariance model")
-    t_alice, t_bob = _estimate_times(m, cov.fs)
-    times = np.concatenate([t_alice, t_bob])
-    k = _cov_from_times(times, cov.fd, cov.P, cov.N)
-    l_mat = _sampling_matrix(k)
-    q = alpha * math.sqrt(cov.P + cov.N)
+    _check_estimate_args(m, alpha, fs, fd, P, N, n_trials)
+    l_mat = _sampling_matrix(_observation_cov(m, fs, fd, P, N))
+    q = alpha * math.sqrt(P + N)
     rng = np.random.default_rng([seed])
     num = den = 0
     done = 0
     while done < n_trials:
         chunk = min(200_000, n_trials - done)
-        z = rng.standard_normal((chunk, k.shape[0])) @ l_mat.T
+        z = rng.standard_normal((chunk, l_mat.shape[0])) @ l_mat.T
         alice_up = np.all(z[:, :m] > q, axis=1)
         bob_down = np.all(z[:, m:] < -q, axis=1)
         den += int(alice_up.sum())
@@ -196,33 +162,25 @@ def pe_levelcross(m: int, alpha, cov: CovarianceModel, n_trials: int, seed) -> M
     return McEstimate(num / den, lo, hi, n_trials)
 
 
-def rate_levelcross(m: int, alpha, cov: CovarianceModel, fs, n_trials: int, seed) -> McEstimate:
+def rate_levelcross(m: int, alpha, fs, fd, P, N, n_trials: int, seed) -> McEstimate:
     """Secret-bit rate of the level-crossing scheme, in bits/second.
 
     R = 2 (fs/m) Pr(observation yields an agreed bit), where the
     observation event is onset-conditioned so each qualifying excursion is
     counted once: Alice's estimate one probe period before the window is
     at or below q_plus, her m estimates are all above q_plus, and Bob's
-    m-1 estimates interleaved among them are all above q_plus as well.
-    The probing geometry is rebuilt at the requested fs; cov supplies the
-    channel parameters (fd, P, N).
+    max(m-1, 1) estimates interleaved among them are all above q_plus as
+    well.  The channel is the one ``pe_levelcross`` models.
     """
-    if n_trials < MIN_TRIALS:
-        raise ValueError(f"n_trials must be >= {MIN_TRIALS}")
-    if m < 1 or m != cov.m:
-        raise ValueError("m must be >= 1 and match the covariance model")
-    t_alice = np.arange(m) / fs
-    t_bob = np.arange(m - 1) / fs + 1.0 / (2.0 * fs)
-    times = np.concatenate([[-1.0 / fs], t_alice, t_bob])
-    k = _cov_from_times(times, cov.fd, cov.P, cov.N)
-    l_mat = _sampling_matrix(k)
-    q = alpha * math.sqrt(cov.P + cov.N)
+    _check_estimate_args(m, alpha, fs, fd, P, N, n_trials)
+    l_mat = _sampling_matrix(_observation_cov(m, fs, fd, P, N, onset=True))
+    q = alpha * math.sqrt(P + N)
     rng = np.random.default_rng([seed])
     hits = 0
     done = 0
     while done < n_trials:
         chunk = min(200_000, n_trials - done)
-        z = rng.standard_normal((chunk, k.shape[0])) @ l_mat.T
+        z = rng.standard_normal((chunk, l_mat.shape[0])) @ l_mat.T
         event = (z[:, 0] <= q) & np.all(z[:, 1:] > q, axis=1)
         hits += int(event.sum())
         done += chunk

@@ -258,14 +258,14 @@ def _run_capacity(p) -> None:
 
 
 def _run_pe_curve(p) -> None:
-    from .analysis import MIN_TRIALS, build_covariance, pe_levelcross
+    from .analysis import MIN_TRIALS, pe_levelcross
 
     _require_at_least(p, "trials", MIN_TRIALS)
     noise = _snr_to_noise(p["snr_db"])
     rows = []
     for m in p["m"]:
-        cov, _ = _from_flags(build_covariance, m, p["fs"], p["fd"], 1.0, noise)
-        est = pe_levelcross(m, p["alpha"], cov, p["trials"], seed=p["seed"] + m)
+        est = _from_flags(pe_levelcross, m, p["alpha"], p["fs"], p["fd"], 1.0, noise,
+                          p["trials"], seed=p["seed"] + m)
         rows.append((m, est.value, est.ci_low, est.ci_high))
     _emit_csv(p["out"], ["m", "pe", "ci_low", "ci_high"], rows,
               f"# seed={p['seed']} trials={p['trials']}",
@@ -273,15 +273,14 @@ def _run_pe_curve(p) -> None:
 
 
 def _run_rate_curve(p) -> None:
-    from .analysis import MIN_TRIALS, build_covariance, rate_levelcross
+    from .analysis import MIN_TRIALS, rate_levelcross
 
     _require_at_least(p, "trials", MIN_TRIALS)
     noise = _snr_to_noise(p["snr_db"])
     rows = []
     for i, fs in enumerate(p["fs"]):
-        cov, _ = _from_flags(build_covariance, p["m"], fs, p["fd"], 1.0, noise)
-        est = rate_levelcross(p["m"], p["alpha"], cov, fs, p["trials"],
-                              seed=p["seed"] + i)
+        est = _from_flags(rate_levelcross, p["m"], p["alpha"], fs, p["fd"], 1.0, noise,
+                          p["trials"], seed=p["seed"] + i)
         rows.append((fs, est.value, est.value / fs, est.ci_low, est.ci_high))
     _emit_csv(p["out"],
               ["fs", "rate_bits_per_second", "rate_bits_per_probe", "ci_low", "ci_high"],

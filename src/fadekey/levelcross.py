@@ -160,7 +160,6 @@ class LevelCrossConfig:
     window: int = 51  # moving-average window (odd)
     epsilon: float = 0.1  # step-3 margin over 1/2
     n_au: int = 128  # authentication bits consumed from the key material
-    select_fraction: float = 1.0  # fraction of excursions Alice announces
     seed: int = 0
 
     def __post_init__(self):
@@ -170,8 +169,6 @@ class LevelCrossConfig:
             raise ValueError("epsilon must lie in (0, 0.5)")
         if self.m < 1 or not 1 <= self.n_au <= _MAC_BITS:
             raise ValueError(f"m must be >= 1 and n_au in 1..{_MAC_BITS}, the MAC key length")
-        if not 0 < self.select_fraction <= 1:
-            raise ValueError("select_fraction must lie in (0, 1]")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
 
@@ -243,24 +240,15 @@ def _inside_excursions(idx: np.ndarray, y: np.ndarray, t: Thresholds, m: int) ->
     return idx <= ends[np.searchsorted(runs[:, 0], idx, side="right")]
 
 
-def alice_select(excursions, select_fraction, seed) -> ProtocolMessage:
-    """Announce the centers of a random subset of Alice's excursions.
+def alice_select(excursions) -> ProtocolMessage:
+    """Announce the centers of all of Alice's excursions.
 
     ``excursions`` holds the (start, end, sign) rows ``find_excursions``
-    returns.  The subset size is ceil(select_fraction * count), at least 1
-    when any excursion exists; each center is floor((start + end) / 2) with
-    the end inclusive.  The index list is sorted ascending.
+    returns; each center is floor((start + end) / 2) with the end
+    inclusive.  The index list is sorted ascending.
     """
-    if not 0 < select_fraction <= 1:
-        raise ValueError("select_fraction must lie in (0, 1]")
     runs = np.asarray(excursions, dtype=np.int64).reshape(-1, 3)
-    if not runs.size:
-        return ProtocolMessage("index_list", np.empty(0, dtype=np.int64))
-    k = max(1, math.ceil(select_fraction * len(runs)))
-    rng = np.random.default_rng([seed])
-    chosen = rng.choice(len(runs), size=k, replace=False)
-    centers = (runs[:, 0] + runs[:, 1]) // 2
-    return ProtocolMessage("index_list", np.sort(centers[chosen]))
+    return ProtocolMessage("index_list", np.sort((runs[:, 0] + runs[:, 1]) // 2))
 
 
 def _message_indices(msg: ProtocolMessage, n: int) -> np.ndarray:
@@ -394,7 +382,7 @@ def run_protocol(probe_record, config: LevelCrossConfig) -> KeyAgreementResult:
     t_x = compute_thresholds(u_x, config.alpha)
     t_y = compute_thresholds(u_y, config.alpha)
 
-    msg_l = alice_select(find_excursions(u_x, t_x, config.m), config.select_fraction, config.seed)
+    msg_l = alice_select(find_excursions(u_x, t_x, config.m))
 
     try:
         if not bob_check(msg_l, u_y, t_y, config.m, config.epsilon):

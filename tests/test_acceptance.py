@@ -17,7 +17,6 @@ from scipy.stats import chi2_contingency
 
 from fadekey._bits import BitString
 from fadekey.analysis import (
-    build_covariance,
     converter_convergence_check,
     mutual_information_estimate,
     pe_levelcross,
@@ -103,8 +102,8 @@ def test_criterion_03_converter_convergence():
 def test_criterion_04_pe_monotone_in_m():
     ests = {}
     for m in (2, 3, 4, 5):
-        cov, _ = build_covariance(m, 9.0, 10.0, 1.0, 0.1)  # SNR 10 dB, slow probing
-        ests[m] = pe_levelcross(m, 0.8, cov, 100_000, seed=40 + m)
+        # SNR 10 dB, slow probing
+        ests[m] = pe_levelcross(m, 0.8, 9.0, 10.0, 1.0, 0.1, 100_000, seed=40 + m)
     vals = [ests[m].value for m in (2, 3, 4, 5)]
     decreasing = all(a > b for a, b in zip(vals, vals[1:]))
     separated = ests[2].ci_low > ests[5].ci_high
@@ -116,8 +115,7 @@ def test_criterion_04_pe_monotone_in_m():
 def test_criterion_05_rate_saturation():
     rates = {}
     for fs in (100.0, 400.0, 1000.0, 4000.0):
-        cov, _ = build_covariance(4, fs, 10.0, 1.0, 0.001)
-        rates[fs] = rate_levelcross(4, 0.8, cov, fs, 200_000, seed=9).value
+        rates[fs] = rate_levelcross(4, 0.8, fs, 10.0, 1.0, 0.001, 200_000, seed=9).value
     ratio = rates[4000.0] / rates[400.0]
     bound_ok = all(r <= 5.0 * 10.0 for r in rates.values())
     detail = (f"R(4000)/R(400) = {ratio:.3f} (< 2), max R {max(rates.values()):.2f}"
@@ -134,7 +132,7 @@ def _eve_raw_agreement(d_over_lambda):
         u_e = subtract_windowed_mean(rec.e_hat, 51)
         t_x = compute_thresholds(u_x, 0.125)
         t_e = compute_thresholds(u_e, 0.125)
-        msg_l = alice_select(find_excursions(u_x, t_x, 4), 1.0, seed)
+        msg_l = alice_select(find_excursions(u_x, t_x, 4))
         reply, _ = bob_reply(msg_l, u_e, t_e, 4, 1)
         a_bits = u_x[reply.indices] > t_x.q_plus
         e_bits = u_e[reply.indices] > t_e.q_plus

@@ -10,13 +10,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import j0
+from scipy.stats import multivariate_normal
 
 from fadekey._bits import BitString
 from fadekey.analysis import (
     MEASURED_MI_REFERENCE,
-    CovarianceModel,
     EstimateInfeasibleError,
-    build_covariance,
+    _observation_cov,
     coherence_time,
     converter_convergence_check,
     lcr,
@@ -40,10 +41,7 @@ PE_M1_ORACLE = 0.3645438396645881  # 2-D quadrature at fd=10, fs=9, SNR=10dB, al
 PE_M2_ORACLE = 0.49009411816660303  # 4-D quadrature, same regime
 LCR_UNIT = 0.9221370088957891  # sqrt(2 pi) / e
 TC_FD10 = 0.04231421876608172  # sqrt(9 / (16 pi 10^2))
-
-
-def _regime_cov(m, fs=9.0, fd=10.0, P=1.0, N=0.1):
-    return build_covariance(m, fs, fd, P, N)[1]
+REGIME = (9.0, 10.0, 1.0, 0.1)  # fs, fd, P, N of the oracles above
 
 
 class TestSecretKeyCapacity:
@@ -72,125 +70,146 @@ class TestSecretKeyCapacity:
 
 
 class TestBuildCovariance:
+    """The probing geometry both estimators draw from: Alice's m probes at
+    k/fs, then Bob's max(m - 1, 1), each 1/(2 fs) after Alice's."""
+
     def test_single_estimate(self):
-        k_m, k_i = build_covariance(1, 100.0, 10.0, 1.0, 0.5)
-        assert k_m.matrix.shape == (1, 1)
-        assert k_m.matrix[0, 0] == pytest.approx(1.5)
-        assert k_i.matrix.shape == (1, 1)
+        # m = 1 still has one Bob probe, half a period after Alice's
+        k = _observation_cov(1, 100.0, 10.0, 1.0, 0.5)
+        assert k.shape == (2, 2)
+        assert np.allclose(np.diag(k), 1.5)
+        assert k[0, 1] == pytest.approx(j0(2 * np.pi * 10.0 / 200.0))
 
     def test_static_channel_limit(self):
-        k_m, _ = build_covariance(3, 100.0, 1e-12, 2.0, 0.3)
-        off = k_m.matrix[~np.eye(3, dtype=bool)]
+        k = _observation_cov(3, 100.0, 1e-12, 2.0, 0.3)
+        off = k[~np.eye(5, dtype=bool)]
         assert np.allclose(off, 2.0)
-        assert np.allclose(np.diag(k_m.matrix), 2.3)
+        assert np.allclose(np.diag(k), 2.3)
 
     def test_interleaved_geometry(self):
-        from scipy.special import j0
+        k = _observation_cov(2, 50.0, 10.0, 1.0, 0.1)
+        # ordering (X1, X2, Y1): lags 1/(2fs) and 1/fs from X1
+        assert k.shape == (3, 3)
+        assert k[0, 2] == pytest.approx(j0(2 * np.pi * 10.0 / 100.0))
+        assert k[0, 1] == pytest.approx(j0(2 * np.pi * 10.0 / 50.0))
+        assert k[1, 2] == pytest.approx(k[0, 2])
 
-        _, k_i = build_covariance(2, 50.0, 10.0, 1.0, 0.1)
-        # ordering (X1, Y1, X2): lags 1/(2fs) and 1/fs from X1
-        assert k_i.matrix.shape == (3, 3)
-        assert k_i.matrix[0, 1] == pytest.approx(j0(2 * np.pi * 10.0 / 100.0))
-        assert k_i.matrix[0, 2] == pytest.approx(j0(2 * np.pi * 10.0 / 50.0))
-        assert k_i.ordering == "interleaved"
+    def test_onset_probe_precedes_alice(self):
+        k = _observation_cov(2, 50.0, 10.0, 1.0, 0.1, onset=True)
+        # ordering (X0, X1, X2, Y1): X0 one period before X1
+        assert k.shape == (4, 4)
+        assert np.array_equal(k[1:, 1:], _observation_cov(2, 50.0, 10.0, 1.0, 0.1))
+        assert k[0, 1] == pytest.approx(j0(2 * np.pi * 10.0 / 50.0))
+        assert k[0, 3] == pytest.approx(j0(2 * np.pi * 10.0 * 1.5 / 50.0))
 
     def test_psd_across_parameter_grid(self):
         for m in (1, 2, 4):
             for fs in (9.0, 100.0, 4000.0):
                 for fd in (1.0, 10.0, 100.0):
                     for n in (0.001, 0.1, 1.0):
-                        _, k_i = build_covariance(m, fs, fd, 1.0, n)
-                        assert np.linalg.eigvalsh(k_i.matrix).min() >= -1e-9
+                        for onset in (False, True):
+                            k = _observation_cov(m, fs, fd, 1.0, n, onset)
+                            assert np.linalg.eigvalsh(k).min() >= -1e-9
 
-    def test_model_validation(self):
-        with pytest.raises(ValueError):
-            CovarianceModel(np.array([[1.0, 0.0], [0.1, 1.0]]), 1, 9.0, 10.0, 0.9, 0.1, "alice")
-        with pytest.raises(ValueError):
-            # diagonal must equal P + N
-            CovarianceModel(np.eye(2), 1, 9.0, 10.0, 1.0, 0.1, "alice")
-        with pytest.raises(ValueError):
-            build_covariance(0, 9.0, 10.0, 1.0, 0.1)
+
+BAD_ARGS = [
+    ({"m": 0}, "m must be"),
+    ({"alpha": -1.0}, "alpha must be"),
+    ({"fs": 0.0}, "fs must be"),
+    ({"fs": -100.0}, "fs must be"),
+    ({"fs": math.inf}, "fs must be"),
+    ({"fd": -1.0}, "fd must be"),
+    ({"fd": math.inf}, "fd must be"),
+    ({"alpha": math.nan}, "alpha must be"),
+    ({"P": 0.0}, "P must be"),
+    ({"N": -0.1}, "N must be"),
+    ({"n_trials": 5_000}, "n_trials must be"),
+]
 
 
 class TestPeLevelcross:
     def test_bivariate_oracle(self):
-        est = pe_levelcross(1, 0.8, _regime_cov(1), 500_000, seed=77)
+        est = pe_levelcross(1, 0.8, *REGIME, 500_000, seed=77)
         assert est.ci_low <= PE_M1_ORACLE <= est.ci_high
         assert est.value == pytest.approx(PE_M1_ORACLE, abs=0.006)
 
     def test_four_dimensional_oracle(self):
-        est = pe_levelcross(2, 0.8, _regime_cov(2), 200_000, seed=1234)
+        est = pe_levelcross(2, 0.8, *REGIME, 200_000, seed=1234)
         assert est.ci_low <= PE_M2_ORACLE <= est.ci_high
 
     def test_decreasing_in_m(self):
-        vals = [
-            pe_levelcross(m, 0.8, _regime_cov(m), 30_000, seed=5).value for m in (2, 3, 4, 5)
-        ]
+        vals = [pe_levelcross(m, 0.8, *REGIME, 30_000, seed=5).value for m in (2, 3, 4, 5)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_perfect_correlation_limit(self):
-        cov = _regime_cov(2, fd=1e-9, N=1e-12)
-        est = pe_levelcross(2, 0.8, cov, 20_000, seed=3)
+        est = pe_levelcross(2, 0.8, 9.0, 1e-9, 1.0, 1e-12, 20_000, seed=3)
         assert est.value == 0.0
 
     def test_deterministic(self):
-        a = pe_levelcross(2, 0.8, _regime_cov(2), 20_000, seed=11)
-        b = pe_levelcross(2, 0.8, _regime_cov(2), 20_000, seed=11)
+        a = pe_levelcross(2, 0.8, *REGIME, 20_000, seed=11)
+        b = pe_levelcross(2, 0.8, *REGIME, 20_000, seed=11)
         assert a.value == b.value and a.ci_low == b.ci_low
 
     def test_ci_brackets_value(self):
-        est = pe_levelcross(3, 0.8, _regime_cov(3), 20_000, seed=2)
+        est = pe_levelcross(3, 0.8, *REGIME, 20_000, seed=2)
         assert est.ci_low <= est.value <= est.ci_high
 
     def test_empty_denominator_raises(self):
         with pytest.raises(EstimateInfeasibleError):
-            pe_levelcross(2, 100.0, _regime_cov(2), 10_000, seed=1)
+            pe_levelcross(2, 100.0, *REGIME, 10_000, seed=1)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            pe_levelcross(2, 0.8, _regime_cov(2), 5_000, seed=1)
-        with pytest.raises(ValueError):
-            pe_levelcross(3, 0.8, _regime_cov(2), 10_000, seed=1)
+        good = dict(zip(("fs", "fd", "P", "N"), REGIME), m=2, alpha=0.8, n_trials=10_000)
+        for bad, message in BAD_ARGS:
+            with pytest.raises(ValueError, match=message):
+                pe_levelcross(**{**good, **bad}, seed=1)
 
 
 class TestRateLevelcross:
     def test_saturates_in_probing_rate(self):
-        cov = build_covariance(4, 1000.0, 10.0, 1.0, 0.001)[1]
-        slow = rate_levelcross(4, 0.8, cov, 1000.0, 200_000, seed=9)
-        fast = rate_levelcross(4, 0.8, cov, 4000.0, 200_000, seed=9)
+        slow = rate_levelcross(4, 0.8, 1000.0, 10.0, 1.0, 0.001, 200_000, seed=9)
+        fast = rate_levelcross(4, 0.8, 4000.0, 10.0, 1.0, 0.001, 200_000, seed=9)
         assert slow.value <= 2.0 * fast.value
         assert fast.value <= 2.0 * slow.value
 
     def test_on_the_order_of_doppler(self):
-        cov = build_covariance(4, 1000.0, 10.0, 1.0, 0.001)[1]
-        est = rate_levelcross(4, 0.8, cov, 1000.0, 100_000, seed=9)
+        est = rate_levelcross(4, 0.8, 1000.0, 10.0, 1.0, 0.001, 100_000, seed=9)
         assert est.value <= 5.0 * 10.0
 
     def test_decreasing_in_m(self):
-        rates = []
-        for m in (2, 5):
-            cov = build_covariance(m, 400.0, 10.0, 1.0, 0.001)[1]
-            rates.append(rate_levelcross(m, 0.8, cov, 400.0, 100_000, seed=9).value)
+        rates = [rate_levelcross(m, 0.8, 400.0, 10.0, 1.0, 0.001, 100_000, seed=9).value
+                 for m in (2, 5)]
         assert rates[0] > rates[1]
 
     def test_rises_then_falls_in_doppler(self):
-        vals = []
-        for fd in (10.0, 200.0, 3000.0):
-            cov = build_covariance(4, 4000.0, fd, 1.0, 0.001)[1]
-            vals.append(rate_levelcross(4, 0.8, cov, 4000.0, 100_000, seed=9).value)
+        vals = [rate_levelcross(4, 0.8, 4000.0, fd, 1.0, 0.001, 100_000, seed=9).value
+                for fd in (10.0, 200.0, 3000.0)]
         assert vals[1] > vals[0]
         assert vals[1] > vals[2]
 
     def test_deterministic(self):
-        cov = build_covariance(3, 400.0, 10.0, 1.0, 0.01)[1]
-        a = rate_levelcross(3, 0.8, cov, 400.0, 20_000, seed=4)
-        b = rate_levelcross(3, 0.8, cov, 400.0, 20_000, seed=4)
+        a = rate_levelcross(3, 0.8, 400.0, 10.0, 1.0, 0.01, 20_000, seed=4)
+        b = rate_levelcross(3, 0.8, 400.0, 10.0, 1.0, 0.01, 20_000, seed=4)
         assert a.value == b.value
 
+    def test_single_probe_counts_bob(self):
+        # m = 1: R = 2 fs p, with p the orthant {X0 <= q, X1 > q, Y1 > q}
+        # for Alice's onset probe X0 at -1/fs, her probe X1 at 0 and Bob's
+        # Y1 at 1/(2 fs); flipping X1 and Y1 makes it a lower orthant
+        fs, fd, P, N, alpha = 100.0, 10.0, 1.0, 1.0, 0.8
+        times = np.array([-1.0 / fs, 0.0, 0.5 / fs])
+        k = P * j0(2 * np.pi * fd * np.abs(times[:, None] - times[None, :])) + N * np.eye(3)
+        flip = np.diag([1.0, -1.0, -1.0])
+        q = alpha * math.sqrt(P + N)
+        p = multivariate_normal(np.zeros(3), flip @ k @ flip).cdf(np.array([q, -q, -q]))
+        est = rate_levelcross(1, alpha, fs, fd, P, N, 400_000, seed=6)
+        assert est.ci_low <= 2 * fs * p <= est.ci_high
+
     def test_validation(self):
-        cov = build_covariance(3, 400.0, 10.0, 1.0, 0.01)[1]
-        with pytest.raises(ValueError):
-            rate_levelcross(3, 0.8, cov, 400.0, 100, seed=4)
+        good = dict(m=3, alpha=0.8, fs=400.0, fd=10.0, P=1.0, N=0.01, n_trials=10_000)
+        for bad, message in BAD_ARGS:
+            with pytest.raises(ValueError, match=message):
+                rate_levelcross(**{**good, **bad}, seed=4)
 
 
 class TestLcr:

@@ -1,5 +1,6 @@
 """CLI surface: parsing precedence, artifact formats, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -180,6 +181,21 @@ class TestRateCurve:
             assert rpp == pytest.approx(rps / fs, rel=1e-12)
 
 
+# SHA-256 of each sweep's CSV at its default m and fs lists with --trials 10000;
+# a refactor of the estimators must leave every printed number as it is
+CURVE_DIGESTS = {
+    "pe-curve": "1afb5c48b1034f7efdeb5f2e86d12fc0994b682096bb96c867d683eba460bf4c",
+    "rate-curve": "44855073e23a37618281cee2178ac978aafb4bf134f9dfeb5303f2255b9c27bd",
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(CURVE_DIGESTS))
+def test_curve_csv_matches_recorded_digest(subcommand, tmp_path):
+    out = tmp_path / "curve.csv"
+    assert main([subcommand, "--trials", "10000", "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CURVE_DIGESTS[subcommand]
+
+
 class TestMiEstimate:
     def test_synthetic_pair(self, tmp_path):
         out = tmp_path / "mi.csv"
@@ -265,8 +281,16 @@ class TestExitCodes:
         (["gaussian-rate-curve", "--snr-db", "10", "--blocks", "0", "--n", "8"], "must be >="),
         (["universal-sim", "--n", "8", "--v", "1", "--scale", "0"], "scale must be positive"),
         (["universal-sim", "--n", "8", "--v", "1", "--scale", "-1"], "scale must be positive"),
+        (["pe-curve", "--trials", "10000", "--fs", "0"], "fs must be positive"),
+        (["pe-curve", "--trials", "10000", "--alpha", "-1"], "alpha must be nonnegative"),
+        (["pe-curve", "--trials", "10000", "--fd", "-1"], "fd must be nonnegative"),
+        (["rate-curve", "--trials", "10000", "--fs", "0"], "fs must be positive"),
+        (["rate-curve", "--trials", "10000", "--fs", "-100"], "fs must be positive"),
+        (["rate-curve", "--trials", "10000", "--fs", "inf"], "fs must be positive"),
+        (["rate-curve", "--trials", "10000", "--alpha", "-1"], "alpha must be nonnegative"),
     ], ids=["pe-trials", "rate-trials", "mi-n", "lc-probes-0", "lc-probes-1", "grc-blocks",
-            "us-scale-0", "us-scale-neg"])
+            "us-scale-0", "us-scale-neg", "pe-fs-0", "pe-alpha-neg", "pe-fd-neg", "rate-fs-0",
+            "rate-fs-neg", "rate-fs-inf", "rate-alpha-neg"])
     def test_count_below_minimum_exits_usage(self, argv, message, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
         assert message in capsys.readouterr().err

@@ -6,7 +6,6 @@ reproducible; tolerances were sized from across-seed spread before freezing.
 
 import hashlib
 import hmac
-import math
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.special import j0
 
 from fadekey._bits import BitString
-from fadekey.analysis import build_covariance, markov_min_entropy, pe_levelcross
+from fadekey.analysis import markov_min_entropy, pe_levelcross
 from fadekey.channel import ChannelParams, gen_fading_trace, probe_sequence
 from fadekey.reconcile import privacy_amplify
 from fadekey.levelcross import (
@@ -74,13 +73,6 @@ def reference_mask(x, t, m):
     for start, end, _ in reference_excursions(x, t, m):
         mask[start : end + 1] = True
     return mask
-
-
-def reference_select(excursions, select_fraction, seed):
-    """Announced centers as a per-excursion generator computes them."""
-    k = max(1, math.ceil(select_fraction * len(excursions)))
-    chosen = np.random.default_rng([seed]).choice(len(excursions), size=k, replace=False)
-    return sorted((excursions[i][0] + excursions[i][1]) // 2 for i in chosen)
 
 
 def rows(excursions):
@@ -242,47 +234,37 @@ class TestFindExcursions:
 
 class TestAliceSelect:
     def test_center_formula(self):
-        msg = alice_select([(1, 2, 1)], 1.0, 0)
+        msg = alice_select([(1, 2, 1)])
         assert msg.indices.tolist() == [1]
-        msg = alice_select([(4, 5, -1)], 1.0, 0)
+        msg = alice_select([(4, 5, -1)])
         assert msg.indices.tolist() == [4]
 
     def test_empty_list(self):
-        msg = alice_select([], 0.5, 0)
+        msg = alice_select([])
         assert msg.variant == "index_list" and msg.indices.size == 0
-
-    def test_fraction_rounds_up(self):
-        exc = [(10 * i, 10 * i + 3, 1) for i in range(10)]
-        assert alice_select(exc, 0.35, 1).indices.size == 4
-        assert alice_select(exc, 0.01, 1).indices.size == 1
-        assert alice_select(exc, 1.0, 1).indices.size == 10
 
     def test_subset_sorted_and_deterministic(self):
         exc = [(7 * i, 7 * i + 4, (-1) ** i) for i in range(20)]
         all_centers = {(start + end) // 2 for start, end, _ in exc}
-        a = alice_select(exc, 0.4, 9)
-        b = alice_select(exc, 0.4, 9)
+        a = alice_select(exc)
+        b = alice_select(exc)
         assert np.array_equal(a.indices, b.indices)
         assert np.all(np.diff(a.indices) > 0)
-        assert set(a.indices.tolist()) <= all_centers
+        assert set(a.indices.tolist()) == all_centers
 
-    def test_bad_fraction(self):
-        with pytest.raises(ValueError):
-            alice_select([(0, 3, 1)], 0.0, 0)
-
-    @pytest.mark.parametrize("fraction", [0.35, 0.4])
+    @pytest.mark.parametrize("alpha", [0.35, 0.4])
     @pytest.mark.parametrize("seed", [0, 1, 9])
-    def test_subset_matches_per_excursion_selection(self, fraction, seed):
+    def test_subset_matches_per_excursion_selection(self, alpha, seed):
         x = np.random.default_rng(seed).normal(size=2000)
-        t = compute_thresholds(x, 0.125)
-        want = reference_select(reference_excursions(x, t, 2), fraction, seed)
-        assert alice_select(find_excursions(x, t, 2), fraction, seed).indices.tolist() == want
+        t = compute_thresholds(x, alpha)
+        want = [(start + end) // 2 for start, end, _ in reference_excursions(x, t, 2)]
+        assert alice_select(find_excursions(x, t, 2)).indices.tolist() == want
 
     def test_full_fraction_announces_every_excursion(self, noiseless_run):
         # perfbench's reference counts the announced indices as len(find_excursions(...))
         _, cfg, u_x, _, t_x, _ = noiseless_run
         exc = find_excursions(u_x, t_x, cfg.m)
-        assert alice_select(exc, 1.0, cfg.seed).indices.size == len(exc) > 0
+        assert alice_select(exc).indices.size == len(exc) > 0
 
 
 class TestMac:
@@ -356,8 +338,6 @@ class TestMessageValidation:
         with pytest.raises(ValueError):
             LevelCrossConfig(epsilon=0.5)
         with pytest.raises(ValueError):
-            LevelCrossConfig(select_fraction=1.5)
-        with pytest.raises(ValueError):
             LevelCrossConfig(m=0)
         with pytest.raises(ValueError):
             LevelCrossConfig(n_au=0)
@@ -382,7 +362,7 @@ class TestProtocolSteps:
 
     def test_bob_check_accepts_honest_list(self, noiseless_run):
         _, cfg, u_x, u_y, t_x, t_y = noiseless_run
-        L = alice_select(find_excursions(u_x, t_x, cfg.m), 1.0, cfg.seed)
+        L = alice_select(find_excursions(u_x, t_x, cfg.m))
         assert bob_check(L, u_y, t_y, cfg.m, cfg.epsilon) is True
 
     def test_bob_check_rejects_random_indices(self):
@@ -402,34 +382,34 @@ class TestProtocolSteps:
 
     def test_bob_reply_noiseless_confirms_everything(self, noiseless_run):
         _, cfg, u_x, u_y, t_x, t_y = noiseless_run
-        L = alice_select(find_excursions(u_x, t_x, cfg.m), 1.0, cfg.seed)
+        L = alice_select(find_excursions(u_x, t_x, cfg.m))
         reply, key_bob = bob_reply(L, u_y, t_y, cfg.m, cfg.n_au)
         assert np.array_equal(reply.indices, L.indices)
         assert len(key_bob) == L.indices.size - cfg.n_au
 
     def test_bob_reply_single_key_bit_boundary(self, noiseless_run):
         _, cfg, u_x, u_y, t_x, t_y = noiseless_run
-        L = alice_select(find_excursions(u_x, t_x, cfg.m), 1.0, cfg.seed)
+        L = alice_select(find_excursions(u_x, t_x, cfg.m))
         short = ProtocolMessage("index_list", L.indices[:129])
         _, key_bob = bob_reply(short, u_y, t_y, cfg.m, 128)
         assert len(key_bob) == 1
 
     def test_bob_reply_insufficient_bits_aborts(self, noiseless_run):
         _, cfg, u_x, u_y, t_x, t_y = noiseless_run
-        L = alice_select(find_excursions(u_x, t_x, cfg.m), 1.0, cfg.seed)
+        L = alice_select(find_excursions(u_x, t_x, cfg.m))
         with pytest.raises(ProtocolAbort) as exc:
             bob_reply(L, u_y, t_y, cfg.m, L.indices.size)
         assert exc.value.reason == "insufficient_bits"
 
     def test_alice_finalize_authenticates_honest_reply(self, noiseless_run):
         _, cfg, u_x, u_y, t_x, t_y = noiseless_run
-        L = alice_select(find_excursions(u_x, t_x, cfg.m), 1.0, cfg.seed)
+        L = alice_select(find_excursions(u_x, t_x, cfg.m))
         reply, key_bob = bob_reply(L, u_y, t_y, cfg.m, cfg.n_au)
         assert alice_finalize(reply, u_x, t_x, cfg.n_au) == key_bob
 
     def test_tampered_index_fails_mac(self, noiseless_run):
         _, cfg, u_x, u_y, t_x, t_y = noiseless_run
-        L = alice_select(find_excursions(u_x, t_x, cfg.m), 1.0, cfg.seed)
+        L = alice_select(find_excursions(u_x, t_x, cfg.m))
         reply, _ = bob_reply(L, u_y, t_y, cfg.m, cfg.n_au)
         # adversary swaps one confirmed index for another announced one,
         # after Bob computed his tag
@@ -451,7 +431,7 @@ class TestProtocolSteps:
 
     def test_alice_finalize_no_key_bits_left_aborts(self, noiseless_run):
         _, cfg, u_x, u_y, t_x, t_y = noiseless_run
-        L = alice_select(find_excursions(u_x, t_x, cfg.m), 1.0, cfg.seed)
+        L = alice_select(find_excursions(u_x, t_x, cfg.m))
         reply, _ = bob_reply(L, u_y, t_y, cfg.m, cfg.n_au)
         with pytest.raises(ProtocolAbort) as exc:
             alice_finalize(reply, u_x, t_x, reply.indices.size)
@@ -480,14 +460,6 @@ class TestRunProtocol:
         r2 = run_protocol(rec, cfg)
         assert r1.key_alice == r2.key_alice and r1.bits_per_second == r2.bits_per_second
 
-    def test_select_fraction_shortens_key(self, noiseless_run):
-        rec, cfg, *_ = noiseless_run
-        full = run_protocol(rec, cfg)
-        half = run_protocol(rec, LevelCrossConfig(alpha=0.125, m=4, window=51, n_au=128, select_fraction=0.5, seed=3))
-        # fewer announced excursions leave fewer raw bits; the hashed length
-        # follows the raw string's entropy instead, which a random subset raises
-        assert 0 < len(half.raw_key_alice) < len(full.raw_key_alice)
-
     def test_oversized_n_au_aborts(self):
         # the MAC key holds at most 128 bits
         LevelCrossConfig(n_au=128)
@@ -496,7 +468,7 @@ class TestRunProtocol:
 
     def test_guard_band_never_emits_bits(self, noiseless_run):
         _, cfg, u_x, u_y, t_x, t_y = noiseless_run
-        L = alice_select(find_excursions(u_x, t_x, cfg.m), 1.0, cfg.seed)
+        L = alice_select(find_excursions(u_x, t_x, cfg.m))
         reply, _ = bob_reply(L, u_y, t_y, cfg.m, cfg.n_au)
         assert np.all((u_y[reply.indices] > t_y.q_plus) | (u_y[reply.indices] < t_y.q_minus))
         assert np.all((u_x[reply.indices] > t_x.q_plus) | (u_x[reply.indices] < t_x.q_minus))
@@ -506,7 +478,7 @@ class TestRunProtocol:
         # excursions: some sample between them has left the earlier run
         _, cfg, u_x, _, t_x, _ = noiseless_run
         exc = find_excursions(u_x, t_x, cfg.m)
-        L = alice_select(exc, 1.0, cfg.seed)
+        L = alice_select(exc)
         sign_at = {(start + end) // 2: sign for start, end, sign in exc.tolist()}
         idx = L.indices
         for a, b in zip(idx[:-1], idx[1:]):
@@ -663,7 +635,7 @@ class TestNoisyProtocolStatistics:
             rec = make_record(1.0, 0.01, 10.0, 26.0, 60000, seed=60 + seed)
             u = subtract_windowed_mean(rec.x_hat, 51)
             t = compute_thresholds(u, 0.8)
-            L = alice_select(find_excursions(u, t, 3), 1.0, seed)
+            L = alice_select(find_excursions(u, t, 3))
             allbits.append((u[L.indices] > t.q_plus).astype(int))
             seps.append(np.diff(L.indices) * 10.0 / 26.0)
         bits = np.concatenate(allbits)
@@ -681,7 +653,7 @@ class TestNoisyProtocolStatistics:
             u_e = subtract_windowed_mean(rec.e_hat, 51)
             t_x = compute_thresholds(u_x, 0.125)
             t_e = compute_thresholds(u_e, 0.125)
-            L = alice_select(find_excursions(u_x, t_x, 4), 1.0, seed)
+            L = alice_select(find_excursions(u_x, t_x, 4))
             reply, _ = bob_reply(L, u_e, t_e, 4, 1)
             idx = reply.indices
             a_bits = u_x[idx] > t_x.q_plus
@@ -701,7 +673,7 @@ class TestNoisyProtocolStatistics:
             u_e = subtract_windowed_mean(rec.e_hat, 51)
             t_x = compute_thresholds(u_x, 0.125)
             t_e = compute_thresholds(u_e, 0.125)
-            L = alice_select(find_excursions(u_x, t_x, 4), 1.0, seed)
+            L = alice_select(find_excursions(u_x, t_x, 4))
             reply, _ = bob_reply(L, u_e, t_e, 4, 1)
             idx = reply.indices
             a_bits = u_x[idx] > t_x.q_plus
@@ -740,8 +712,7 @@ class TestCrossModuleErrorOracle:
         # measured through the protocol's own signal path must agree with
         # the Gaussian-orthant Monte Carlo estimate at matched parameters.
         m, fs, fd, P, N, alpha = 2, 9.0, 10.0, 1.0, 0.1, 0.8
-        _, ki = build_covariance(m, fs, fd, P, N)
-        pe = pe_levelcross(m, alpha, ki, 200_000, seed=42)
+        pe = pe_levelcross(m, alpha, fs, fd, P, N, 200_000, seed=42)
         opp = tot = 0
         for seed in range(10):
             rec = make_record(P, N, fd, fs, 25000, seed=700 + seed)
@@ -763,8 +734,7 @@ class TestCrossModuleErrorOracle:
         # than an arbitrary m-window, so their conditional error rate sits
         # strictly below the orthant estimate (~0.466 vs ~0.489 here)
         m, fs, fd, P, N, alpha = 2, 9.0, 10.0, 1.0, 0.1, 0.8
-        _, ki = build_covariance(m, fs, fd, P, N)
-        pe = pe_levelcross(m, alpha, ki, 200_000, seed=42)
+        pe = pe_levelcross(m, alpha, fs, fd, P, N, 200_000, seed=42)
         opp = tot = 0
         for seed in range(8):
             rec = make_record(P, N, fd, fs, 25000, seed=700 + seed)
@@ -772,7 +742,7 @@ class TestCrossModuleErrorOracle:
             uy = subtract_windowed_mean(rec.y_hat, 501)
             tx = compute_thresholds(ux, alpha)
             ty = compute_thresholds(uy, alpha)
-            L = alice_select(find_excursions(ux, tx, m), 1.0, seed)
+            L = alice_select(find_excursions(ux, tx, m))
             idx = L.indices
             signs = np.where(ux[idx] > tx.q_plus, 1, -1)
             yv = uy[idx]
