@@ -9,8 +9,8 @@ levelcross
     Level-crossing key extraction with the five-message authentication
     protocol and entropy-sized privacy amplification.
 gaussian_keygen
-    Equiprobable quantization systems: basic, over-quantized (exact LLRs),
-    and CDF-transformed soft-error variants.
+    Equiprobable quantization systems: basic, over-quantized and
+    CDF-transformed soft-error variants, all scored by exact cell posteriors.
 universal
     Distribution-free pipeline: empirical-CDF data conversion, uniform
     quantization, heuristic LLRs.

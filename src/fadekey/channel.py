@@ -13,6 +13,7 @@ masses, so it is a valid covariance by construction and needs no clamping.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,14 +46,12 @@ class ChannelParams:
     eve_distance_d: float = 0.125  # Eve's distance from Bob, m
 
     def __post_init__(self):
-        if min(self.signal_variance_P, self.noise_variance_A, self.noise_variance_B) < 0:
-            raise ValueError("variances must be nonnegative")
-        if self.doppler_fd <= 0 or self.probe_rate_fs <= 0:
-            raise ValueError("doppler_fd and probe_rate_fs must be positive")
-        if self.carrier_wavelength_lambda <= 0:
-            raise ValueError("carrier_wavelength_lambda must be positive")
-        if self.eve_distance_d < 0:
-            raise ValueError("eve_distance_d must be nonnegative")
+        for name in ("signal_variance_P", "noise_variance_A", "noise_variance_B", "eve_distance_d"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
+        for name in ("doppler_fd", "probe_rate_fs", "carrier_wavelength_lambda"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass

@@ -6,11 +6,15 @@ correlated samples.  The basic variant uses plain per-bit LLRs, the
 over-quantized variant additionally publishes the least-significant
 quantizer bits (independent of the kept bits under equiprobable cells) to
 sharpen Bob's LLRs, and the soft-error variant publishes CDF-domain
-quantization errors instead.
+quantization errors instead, which pin Alice's sample to one candidate
+point per cell.  Each variant scores Bob's 2^v candidate cells by their
+exact log posterior, and one reduction turns those scores into per-bit
+LLRs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +42,6 @@ __all__ = [
     "quantize_and_code",
     "llr_overquantized",
     "cdf_transform_error",
-    "llr_soft_error",
     "run_gaussian_system",
 ]
 
@@ -166,6 +169,22 @@ def _log_cell_probs(ys: np.ndarray, spec: QuantizerSpec, P, N, patterns: np.ndar
     return np.where(np.isnan(logp), -np.inf, logp)
 
 
+def _log_candidate_probs(ys: np.ndarray, errors: np.ndarray, spec: QuantizerSpec, P, N) -> np.ndarray:
+    """(n, 2^v) matrix of ln Pr(cell | y, e), up to a per-row constant.
+
+    Column c is the cell with kept Gray codeword c.  The published
+    CDF-domain error e pins Alice's sample in cell j to the point
+    x_j = sqrt(P+N) Phi^-1(e + (j + 1/2)/2^v); the cells are equiprobable
+    given e, so each scores the likelihood of y under
+    Y | X=x_j ~ N((P/(P+N)) x_j, (2PN + N^2)/(P+N)).
+    """
+    total = P + N
+    cells = _consistent_cells(spec)[0]
+    args = np.clip(errors[:, None] + (cells + 0.5) / 2.0**spec.v, _PPF_EPS, 1.0 - _PPF_EPS)
+    points = np.sqrt(total) * ndtri(args)
+    return -((ys[:, None] - (P / total) * points) ** 2) * (total / (2.0 * (2.0 * P * N + N * N)))
+
+
 def _llr_from_logp(logp: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
     """Per-bit LLRs from (n, 2^v) log masses indexed by kept codeword.
 
@@ -221,36 +240,6 @@ def cdf_transform_error(x, v: int, variance) -> np.ndarray | float:
     return float(e) if np.isscalar(x) else e
 
 
-def llr_soft_error(y, e, v: int, P, N) -> np.ndarray:
-    """Per-bit LLRs from the announced CDF-domain error (unit-variance form).
-
-    For each candidate cell j the sample would map to the point
-    Phi^-1(e + (j - 1/2)/2^v); the LLR of bit i sums h(e,j,y) over cells
-    with that bit equal to 1 minus those with it equal to 0, where
-    h(e,j,y) = ((P+N)/(2(2PN+N^2))) (Phi^-1(e + (j-1/2)/2^v) - (P/(P+N))y)^2.
-    Calibrated for P + N = 1; callers normalize first.  This is the paper's
-    closed form, not the exact log-posterior ratio, even at v = 1: h uses
-    the spread of X given Y, (x_j - rho*y)^2, and in unit form exceeds the
-    negative log-likelihood of y given x_j by (x_j^2 - y^2)/2, so each cell
-    is weighted by its point's density although the cells are equiprobable.
-    y and e broadcast against each other; the result has their shape plus a
-    trailing axis of length v.
-    """
-    if N <= 0:
-        raise ValueError("N must be positive")
-    e = np.asarray(e, dtype=np.float64)
-    if np.any(np.abs(e) > 2.0 ** -(v + 1) + 1e-15):
-        raise ValueError("|e| must not exceed 2^-(v+1)")
-    kappa = (P + N) / (2.0 * (2.0 * P * N + N * N))
-    mu = (P / (P + N)) * np.asarray(y, dtype=np.float64)
-    j = np.arange(1, 2**v + 1)
-    args = np.clip(e[..., None] + (j - 0.5) / 2.0**v, _PPF_EPS, 1.0 - _PPF_EPS)
-    h = kappa * (ndtri(args) - mu[..., None]) ** 2
-    table = gray_codewords(np.arange(2**v), v)
-    signs = np.where(table == 0, -1.0, 1.0)  # cell j has row j-1
-    return np.clip(h @ signs, -LLR_CLAMP, LLR_CLAMP)
-
-
 @dataclass
 class GaussianConfig:
     code: LdpcCode  # rate-1/2 syndrome code over the concatenated bits
@@ -271,8 +260,10 @@ class GaussianConfig:
             raise ValueError("overquant variant needs m_over >= 1")
         if self.variant != "overquant" and self.m_over != 0:
             raise ValueError("m_over applies to the overquant variant only")
-        if self.P <= 0 or self.N < 0:
-            raise ValueError("P must be positive and N nonnegative")
+        if not 0 < self.P < math.inf:
+            raise ValueError(f"P must be positive and finite, got {self.P}")
+        if not 0 <= self.N < math.inf:
+            raise ValueError(f"N must be nonnegative and finite, got {self.N}")
 
 
 def run_gaussian_system(config: GaussianConfig) -> SecretKeyOutcome:
@@ -304,9 +295,7 @@ def run_gaussian_system(config: GaussianConfig) -> SecretKeyOutcome:
         llr = LLR_CLAMP * (1.0 - 2.0 * bob_bits.to_array().reshape(n, v).astype(np.float64))
     elif config.variant == "soft_error":
         errors = cdf_transform_error(xs, v, total_var)
-        p_unit = config.P / total_var
-        n_unit = config.N / total_var
-        llr = llr_soft_error(ys / np.sqrt(total_var), errors, v, p_unit, n_unit)
+        llr = _llr_from_logp(_log_candidate_probs(ys, errors, spec, config.P, config.N), spec)
     else:
         patterns = _over_patterns(over_bits.to_array(), n, config.m_over)
         llr = _llr_from_logp(_log_cell_probs(ys, spec, config.P, config.N, patterns), spec)

@@ -9,6 +9,7 @@ Alice's published quantization errors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,8 +169,10 @@ class UniversalConfig:
     def __post_init__(self):
         if self.A is not None and self.A < self.v:
             raise ValueError("A must be >= v")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        if not -math.inf < self.snr_db:  # +inf is a noiseless source
+            raise ValueError(f"snr_db must be a number above -inf, got {self.snr_db}")
 
 
 def run_universal_system(config: UniversalConfig) -> SecretKeyOutcome:

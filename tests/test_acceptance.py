@@ -35,9 +35,8 @@ from fadekey.levelcross import (
     run_protocol,
     subtract_windowed_mean,
 )
-from fadekey.reconcile import decode_syndrome, to_alist
+from fadekey.reconcile import decode_syndrome
 from fadekey.universal import UniversalConfig, heuristic_llr, run_universal_system
-from reference_bp import reference_decode
 
 
 # first null of the spatial correlation J0(2*pi*d/lambda) beyond one
@@ -306,13 +305,9 @@ def test_criterion_12_key_randomness(level_cross_runs):
              f"the secrecy evidence is the entropy-sized length, not these tests)")
 
 
-def test_criterion_13_decoder_oracle_equivalence(code400):
-    alist = to_alist(code400)
-    rng = np.random.default_rng(2024)
+def test_criterion_13_decoder_oracle_equivalence(code400, oracle_decodes):
     mismatches = 0
-    for _ in range(20):
-        llr = rng.normal(1.2, 1.8, size=400)
-        ok_r, it_r, hard_r = reference_decode(alist, np.zeros(200, np.uint8), llr)
+    for llr, (ok_r, it_r, hard_r) in oracle_decodes:
         res = decode_syndrome(code400, BitString.zeros(200), llr)
         same = (res.success == ok_r and res.iterations == it_r
                 and res.bits.to_array().tolist() == hard_r.tolist())

@@ -87,6 +87,16 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             _params(eve_distance_d=-0.1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", [
+        "signal_variance_P", "noise_variance_A", "noise_variance_B", "doppler_fd",
+        "probe_rate_fs", "carrier_wavelength_lambda", "eve_distance_d"])
+    def test_non_finite_values_rejected(self, name, value):
+        good = dict(signal_variance_P=1.0, noise_variance_A=0.1, noise_variance_B=0.1,
+                    doppler_fd=10.0, probe_rate_fs=100.0)
+        with pytest.raises(ValueError, match=f"{name} must be .* finite"):
+            ChannelParams(**{**good, name: value})
+
 
 class TestGenFadingTrace:
     def test_zero_power_gives_zero_trace(self):

@@ -288,9 +288,16 @@ class TestExitCodes:
         (["rate-curve", "--trials", "10000", "--fs", "-100"], "fs must be positive"),
         (["rate-curve", "--trials", "10000", "--fs", "inf"], "fs must be positive"),
         (["rate-curve", "--trials", "10000", "--alpha", "-1"], "alpha must be nonnegative"),
+        (["universal-sim", "--n", "8", "--v", "1", "--snr-db", "nan"], "snr_db must be"),
+        (["universal-sim", "--n", "8", "--v", "1", "--scale", "inf"], "scale must be positive and finite"),
+        (["gaussian-rate-curve", "--snr-db=-inf", "--n", "8", "--blocks", "1"], "N must be nonnegative and finite"),
+        (["levelcross-sim", "--fd", "nan"], "doppler_fd must be positive and finite"),
+        (["levelcross-sim", "--fs", "inf"], "probe_rate_fs must be positive and finite"),
+        (["levelcross-sim", "--snr-db", "nan"], "noise_variance_A must be nonnegative and finite"),
     ], ids=["pe-trials", "rate-trials", "mi-n", "lc-probes-0", "lc-probes-1", "grc-blocks",
             "us-scale-0", "us-scale-neg", "pe-fs-0", "pe-alpha-neg", "pe-fd-neg", "rate-fs-0",
-            "rate-fs-neg", "rate-fs-inf", "rate-alpha-neg"])
+            "rate-fs-neg", "rate-fs-inf", "rate-alpha-neg", "us-snr-nan", "us-scale-inf",
+            "grc-snr-neginf", "lc-fd-nan", "lc-fs-inf", "lc-snr-nan"])
     def test_count_below_minimum_exits_usage(self, argv, message, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
         assert message in capsys.readouterr().err

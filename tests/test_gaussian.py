@@ -21,13 +21,13 @@ from fadekey.gaussian_keygen import (
     GaussianConfig,
     QuantizerSpec,
     _llr_from_logp,
+    _log_candidate_probs,
     _log_cell_probs,
     cdf_transform_error,
     equiprobable_boundaries,
     gray_component,
     gray_encode,
     llr_overquantized,
-    llr_soft_error,
     make_quantizer,
     quantize_and_code,
     run_gaussian_system,
@@ -355,18 +355,27 @@ class TestCdfTransformError:
             cdf_transform_error(0.0, 0, 1.0)
 
 
+def _soft_error_llr(ys, es, v, P, N):
+    """Bob's soft-error LLRs, (n, v), as run_gaussian_system computes them."""
+    spec = make_quantizer(P + N, v)
+    ys, es = (np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (ys, es))
+    return _llr_from_logp(_log_candidate_probs(ys, es, spec, P, N), spec)
+
+
 # Announced-error LLRs in unit-total-variance form, P = 10/11, N = 1/11,
-# frozen from a 50-digit evaluation of the closed-form bit sums.
+# frozen from a 50-digit evaluation of the exact posterior: the log-sum-exp
+# of -(y - P/(P+N) x_j)^2 (P+N)/(2(2PN+N^2)) over the candidate points
+# x_j = Phi^-1(e + (j + 1/2)/2^v) whose Gray bit is 0, minus that over bit 1.
 LLR_SOFT_V1 = {
-    (-1.5, -0.2): 6.16213969228382,
-    (-1.5, 0.0): 10.599124645938428,
-    (-1.5, 0.15): 16.60660737102182,
-    (0.0, -0.2): -7.749049387624763,
+    (-1.5, -0.2): 7.5070160322848117,
+    (-1.5, 0.0): 10.599124645938427,
+    (-1.5, 0.15): 15.817512540780561,
+    (0.0, -0.2): -6.4041730476237699,
     (0.0, 0.0): 0.0,
-    (0.0, 0.15): 4.5466892599615285,
-    (0.8, -0.2): -15.16835023024267,
-    (0.8, 0.0): -5.652866477833827,
-    (0.8, 0.15): -1.8852670659372888,
+    (0.0, 0.15): 3.7575944297202733,
+    (0.8, -0.2): -13.82347389024168,
+    (0.8, 0.0): -5.6528664778338279,
+    (0.8, 0.15): -2.6743618961785468,
 }
 
 
@@ -375,77 +384,62 @@ class TestLlrSoftError:
 
     def test_frozen_reference_values(self):
         for (y, e), want in LLR_SOFT_V1.items():
-            got = llr_soft_error(y, e, 1, self.P, self.N)
-            assert got.shape == (1,)
-            np.testing.assert_allclose(got[0], want, rtol=1e-9, atol=1e-12)
+            got = _soft_error_llr(y, e, 1, self.P, self.N)
+            assert got.shape == (1, 1)
+            np.testing.assert_allclose(got[0, 0], want, rtol=1e-9, atol=1e-12)
 
     def test_frozen_two_bit_values(self):
-        got = llr_soft_error(0.5, 0.1, 2, self.P, self.N)
-        np.testing.assert_allclose(
-            got, [1.5996233281179541, -9.9168978381119237], rtol=1e-9
-        )
-        got = llr_soft_error(-1.2, -0.05, 2, self.P, self.N)
-        np.testing.assert_allclose(
-            got, [15.020192113917307, -6.2797693240533643], rtol=1e-9
-        )
+        got = _soft_error_llr(0.5, 0.1, 2, self.P, self.N)[0]
+        np.testing.assert_allclose(got, [-0.85580204633693062, -3.985252612314706], rtol=1e-9)
+        got = _soft_error_llr(-1.2, -0.05, 2, self.P, self.N)[0]
+        np.testing.assert_allclose(got, [5.5470431589174802, 1.7265583541045976], rtol=1e-9)
 
     def test_matches_candidate_density_ratio(self):
         # with one kept bit the announced error pins one candidate point per
-        # cell, and the bit sum reduces to the conditional log-density ratio
-        # of the two candidates
-        sigma_sq = (2 * self.P * self.N + self.N**2) / (self.P + self.N)
+        # cell, and the cells are equiprobable given it, so the LLR is the
+        # log-likelihood ratio of Bob's sample under the two candidates
+        sigma = np.sqrt((2 * self.P * self.N + self.N**2) / (self.P + self.N))
+        rho = self.P / (self.P + self.N)
         for y, e in ((-0.9, 0.12), (0.3, -0.21), (1.7, 0.02)):
             x0 = norm.ppf(e + 0.25)
             x1 = norm.ppf(e + 0.75)
-            mu = self.P / (self.P + self.N) * y
-            want = (
-                norm.logpdf(x0, mu, np.sqrt(sigma_sq))
-                - norm.logpdf(x1, mu, np.sqrt(sigma_sq))
-            )
-            got = llr_soft_error(y, e, 1, self.P, self.N)[0]
+            want = norm.logpdf(y, rho * x0, sigma) - norm.logpdf(y, rho * x1, sigma)
+            got = _soft_error_llr(y, e, 1, self.P, self.N)[0, 0]
             np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_zero_inputs_give_zero(self):
-        assert llr_soft_error(0.0, 0.0, 1, self.P, self.N)[0] == 0.0
+        assert _soft_error_llr(0.0, 0.0, 1, self.P, self.N)[0, 0] == 0.0
 
     def test_large_positive_observation_favours_upper_cell(self):
-        got = llr_soft_error(2.5, 0.05, 1, self.P, self.N)[0]
+        got = _soft_error_llr(2.5, 0.05, 1, self.P, self.N)[0, 0]
         assert got < 0
 
-    def test_second_bit_sum_disagrees_with_plane_for_deep_cells(self):
-        # the two-bit closed form sums distances over all four candidate
-        # points; for a sample deep in an outer cell the far outer cell
-        # dominates the sum and drags the second bit the wrong way.  The
-        # frozen value documents this behaviour of the formula as stated.
-        got = llr_soft_error(-1.2, -0.05, 2, self.P, self.N)
-        # the observation sits in the bottom cell, whose Gray word is 00,
-        # yet the second component favours bit 1
-        assert got[0] > 0  # first bit correctly favours 0
-        assert got[1] < 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="N"):
-            llr_soft_error(0.0, 0.0, 1, 1.0, 0.0)
-        with pytest.raises(ValueError, match="e"):
-            llr_soft_error(0.0, 0.3, 1, self.P, self.N)
+    def test_deep_cell_favours_its_own_codeword(self):
+        # an observation deep in the bottom cell (Gray word 00) favours 0 on
+        # both bits: the far outer candidate carries no weight against it
+        got = _soft_error_llr(-1.2, -0.05, 2, self.P, self.N)[0]
+        assert got[0] > 0
+        assert got[1] > 0
 
     @pytest.mark.parametrize("v", [1, 2, 3])
     def test_arrays_match_scalar_calls(self, v):
         rng = np.random.default_rng(v)
         ys = rng.normal(0.0, 1.0, 50)
         es = rng.uniform(-(2.0 ** -(v + 1)), 2.0 ** -(v + 1), 50)
-        got = llr_soft_error(ys, es, v, self.P, self.N)
+        got = _soft_error_llr(ys, es, v, self.P, self.N)
         assert got.shape == (50, v)
         for row, (y, e) in enumerate(zip(ys, es)):
-            np.testing.assert_allclose(got[row], llr_soft_error(y, e, v, self.P, self.N), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got[row], _soft_error_llr(y, e, v, self.P, self.N)[0], rtol=0, atol=1e-12)
 
 
 # (decode_success, iterations, sha256 of the key bytes + repr((iterations,
 # decode_success, bit_agreement, net_bits))) of one block on code400,
 # recorded from the scipy-logsumexp LLRs and cumprod BP kernel; keyed by
 # (variant, v, m_over, snr_db, seed) with P = 1, N = 10^(-snr_db/10).  The
-# LLR bytes are left out: a rewrite may move them by ~1e-14 before the clamp
-# (TestLlrOverquantized bounds that), but not the decodes.
+# soft_error rows, at the other variants' (v, snr_db) points, were recorded
+# from the candidate-point posterior.  The LLR bytes are left out: a rewrite
+# may move them by ~1e-14 before the clamp (TestLlrOverquantized bounds
+# that), but not the decodes.
 BLOCK_DIGESTS = {
     ('basic', 2, 0, 10.0, 0): (False, 50, "53c2fa9a249c60b2c21381f156f0a6a67c2285c373a9bbadc423495363a99a9e"),
     ('basic', 2, 0, 10.0, 1): (False, 50, "6c52db13a2918b68b831f68081e1f66629d634542a54b2a3cf1778be8556e435"),
@@ -465,6 +459,24 @@ BLOCK_DIGESTS = {
     ('overquant', 4, 8, 20.0, 1): (True, 5, "38b61c3879393909886dae80b10ba49ba1f73df0c4b9ca9a650b184cd827cf64"),
     ('overquant', 4, 8, 30.0, 0): (True, 2, "e13e527f57f3af1352fef5b1bb558b46f790dbde7eee8d31c7165d4ef2b32b28"),
     ('overquant', 4, 8, 30.0, 1): (True, 2, "0b11937e96b0837308d037fb92ce17b296a561d670cac272f77692b9c8c410ac"),
+    ('soft_error', 1, 0, 6.0, 0): (False, 50, "247a36a89952f52946983cb7f8b013b446e21c911e95830df8483f9ec7c30928"),
+    ('soft_error', 1, 0, 6.0, 1): (False, 50, "553f1d66ec6774f444e8e9306bf910912abfbacfbcb115d002e3e581adf87c2c"),
+    ('soft_error', 1, 0, 9.0, 0): (True, 4, "dd8d45ea90f611e20c8855990ec2b1f1721cdc6f0b273faff89e76dcae5211d2"),
+    ('soft_error', 1, 0, 9.0, 1): (True, 4, "338499906f78b66de6cc4a2915786775ccd55b6f2ce5ec86250700d93b7d9e23"),
+    ('soft_error', 1, 0, 12.0, 0): (True, 2, "19c8e330f4233b9fd097eb2d839b4a86a0c79711bb3eeb1ea3475e34361fa2f2"),
+    ('soft_error', 1, 0, 12.0, 1): (True, 2, "cd5f8d26115f73d3f915c6f952da41e12635e20bfbc096fe49ab46468a90971a"),
+    ('soft_error', 2, 0, 10.0, 0): (False, 50, "c4b3bdf1bbaa03918df1118ee477b9831af60274e749adf2524d88781daf4b96"),
+    ('soft_error', 2, 0, 10.0, 1): (False, 50, "3290f79a3dad72e545f4dbc100ed68ef3870607f7e0297731166cf4bcd703373"),
+    ('soft_error', 2, 0, 15.0, 0): (True, 2, "2ca490ab98b36e84bf04c87267a299616ba57a34763433121a0633b291e41000"),
+    ('soft_error', 2, 0, 15.0, 1): (True, 4, "8a2bfd7d87a7b4c6dc717ad8d58c677e717cb482e9389d013370f4d0ef2b5aef"),
+    ('soft_error', 2, 0, 25.0, 0): (True, 0, "38cb3fcfd85dd6fdef78d93b2707c400a15840e3b38cc8ccd6a304254c232c52"),
+    ('soft_error', 2, 0, 25.0, 1): (True, 0, "b5fd1a3c867d8778aea3c44fda88e7f8e1ebf2a2fe8b4c51f4561c7ebdc08a17"),
+    ('soft_error', 4, 0, 14.0, 0): (False, 50, "c555deed2d6d7c4dfd4fa3ff6c42539f6c7639b2e914f89e31a87f4dd6a6bff9"),
+    ('soft_error', 4, 0, 14.0, 1): (False, 50, "91d1bb58685f2c23d6d9c8701a3eaac0a3ae7219991b750d9665fac8186b7ee3"),
+    ('soft_error', 4, 0, 20.0, 0): (True, 6, "c5d1a40ca20718f7644c25f65c2694b4be4a8fa306861d07d12f5d7cfab2e13b"),
+    ('soft_error', 4, 0, 20.0, 1): (True, 6, "ca79211566812dde4f5fd487213fdd2eece36e0a613555f9afe14e5539f35a0a"),
+    ('soft_error', 4, 0, 30.0, 0): (True, 1, "fa87ebe672de433ceac17aa434b8629f2b2859aa64c0b457b7da5c6991603e25"),
+    ('soft_error', 4, 0, 30.0, 1): (True, 1, "5e84abfc70cb5317fba84546ed263133a8cc5b5e0bb008dbb4efdf9a441de431"),
 }
 
 
@@ -553,6 +565,17 @@ class TestRunGaussianSystem:
         assert all(o.net_bits == 200 for o in outs)
         assert all(len(o.key_bits) == 200 for o in outs)
 
+    @pytest.mark.parametrize("v, snr_db, blocks", [(2, 12.0, 10), (2, 14.0, 10), (4, 20.0, 5), (4, 25.0, 5)])
+    def test_soft_error_decodes_multibit_blocks(self, code4096, v, snr_db, blocks):
+        # with several kept bits the published error still pins one point per
+        # cell; scored by the exact posterior every block decodes
+        for s in range(blocks):
+            out = run_gaussian_system(GaussianConfig(
+                code=code4096, v=v, n_samples=4096 // v, variant="soft_error",
+                P=1.0, N=10.0 ** (-snr_db / 10.0), seed=s))
+            assert out.decode_success, f"seed {s}"
+            assert out.net_bits == 2048
+
     def test_custom_traces(self, code240):
         xs, ys = gen_iid_gaussian_source(1.0, 1e-3, 1e-3, 80, seed=[5, 0])
         via_seed = run_gaussian_system(
@@ -573,6 +596,10 @@ class TestRunGaussianSystem:
             GaussianConfig(**{**good, "variant": "overquant", "m_over": 0})
         with pytest.raises(ValueError, match="m_over"):
             GaussianConfig(**{**good, "variant": "basic", "m_over": 1})
+        for name in ("P", "N"):
+            for value in (np.nan, np.inf):
+                with pytest.raises(ValueError, match=f"{name} must be .* finite"):
+                    GaussianConfig(**{**good, name: value})
         with pytest.raises(ValueError, match="both"):
             run_gaussian_system(GaussianConfig(**{**good, "xs": np.zeros(80)}))
         with pytest.raises(ValueError, match="shorter"):
@@ -644,6 +671,28 @@ class TestStatisticalInvariants:
             assert gap < 0.03, f"bin {k}: calibration gap {gap:.4f}"
             checked += 1
         assert checked >= 8
+
+    @pytest.mark.parametrize("v", [1, 2])
+    def test_soft_error_llrs_are_calibrated(self, v):
+        # 10^6 draws: in each bin of predicted P(bit=1) the empirical rate
+        # must lie within 4 standard errors of the mean prediction, the SE
+        # being sqrt(sum p(1-p))/count for a calibrated predictor; 10 bins
+        # at 4 SE keep a chance failure near 1e-3
+        n = 1_000_000
+        xs, ys = gen_iid_gaussian_source(self.P, self.N, self.N, n, seed=[515, v])
+        spec = make_quantizer(self.P + self.N, v)
+        bits = quantize_and_code(xs, spec)[0].to_array()
+        errors = cdf_transform_error(xs, v, self.P + self.N)
+        llr = _llr_from_logp(_log_candidate_probs(ys, errors, spec, self.P, self.N), spec)
+        pred_p1 = 1.0 / (1.0 + np.exp(llr.reshape(-1)))
+        idx = np.clip(np.digitize(pred_p1, np.linspace(0, 1, 11)) - 1, 0, 9)
+        for k in range(10):
+            sel = idx == k
+            assert sel.sum() >= 1000, f"bin {k}: only {sel.sum()} draws"
+            p = pred_p1[sel]
+            se = np.sqrt(np.sum(p * (1.0 - p))) / p.size
+            gap = abs(bits[sel].mean() - p.mean())
+            assert gap <= 4.0 * se, f"bin {k}: gap {gap:.5f} is {gap / se:.1f} SE"
 
     def test_cells_are_hit_equally_often(self):
         var = self.P + self.N

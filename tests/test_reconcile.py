@@ -459,14 +459,10 @@ class TestCheckNodeUpdate:
 
 
 class TestReferenceEquivalence:
-    def test_zero_syndrome_bit_exact_vs_reference(self, code400):
+    def test_zero_syndrome_bit_exact_vs_reference(self, code400, oracle_decodes):
         # the packaged kernel must reproduce an independently structured
         # all-zero-coset decode bit for bit
-        alist = to_alist(code400)
-        rng = np.random.default_rng(2024)
-        for trial in range(20):
-            llr = rng.normal(1.2, 1.8, size=400)  # all-zero codeword over AWGN-ish noise
-            ok_r, it_r, hard_r = reference_decode(alist, np.zeros(200, np.uint8), llr)
+        for trial, (llr, (ok_r, it_r, hard_r)) in enumerate(oracle_decodes):
             res = decode_syndrome(code400, BitString.zeros(200), llr)
             assert res.success == ok_r and res.iterations == it_r, f"trial {trial}"
             assert res.bits.to_array().tolist() == hard_r.tolist(), f"trial {trial}"

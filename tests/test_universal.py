@@ -354,6 +354,14 @@ class TestRunUniversalSystem:
         with pytest.raises(ValueError):
             run_universal_system(UniversalConfig(v=2, n_samples=100, code=code400))
 
+    def test_config_rejects_non_finite_values(self, code400):
+        good = dict(v=2, n_samples=200, code=code400, seed=0)
+        for name, value in (("scale", np.nan), ("scale", np.inf), ("snr_db", np.nan), ("snr_db", -np.inf)):
+            with pytest.raises(ValueError, match=name):
+                UniversalConfig(**good, **{name: value})
+        # an infinite SNR is a noiseless source, on which the block decodes
+        assert run_universal_system(UniversalConfig(**good, snr_db=np.inf)).decode_success
+
     def test_partial_custom_trace_rejected(self, code400):
         with pytest.raises(ValueError):
             run_universal_system(
