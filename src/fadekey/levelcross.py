@@ -3,9 +3,10 @@
 Both parties remove the slow trend from their probe estimates, set
 symmetric thresholds around the residual mean, and look for runs of
 samples that stay strictly beyond a threshold.  Alice announces the centers
-of her runs; Bob keeps the indices he can confirm on his own estimates,
-answers with that sublist plus a MAC tag keyed by the first bits of his
-key material, and Alice verifies the tag to authenticate the exchange.
+of her runs.  In one turn Bob tests that list against his own estimates,
+keeps the indices he can confirm, and answers with that sublist plus a MAC
+tag keyed by the first bits of his key material.  Alice accepts only indices
+she announced, and verifies the tag to authenticate the exchange.
 The MAC is HMAC-SHA256 truncated to 128 bits (``mac_compute``).  Every
 abort is a ``ProtocolAbort``, which ``run_protocol`` reports in its result.
 
@@ -45,7 +46,6 @@ __all__ = [
     "compute_thresholds",
     "find_excursions",
     "alice_select",
-    "bob_check",
     "bob_reply",
     "alice_finalize",
     "mac_compute",
@@ -146,7 +146,7 @@ class KeyAgreementResult:
     key_alice: BitString
     key_bob: BitString
     authenticated: bool
-    aborted_reason: str | None  # None, "fake_L", "mac_failure", "insufficient_bits"
+    aborted_reason: str | None  # None, "fake_L", "mac_failure", "insufficient_bits", "bad_notice"
     bits_per_second: float
     agreement: float = 0.0  # fraction of matching raw key bits (harness metric)
     raw_key_alice: BitString = field(default_factory=lambda: BitString.zeros(0))
@@ -210,17 +210,13 @@ def compute_thresholds(u, alpha) -> Thresholds:
     return Thresholds(q_plus=mu + alpha * sigma, q_minus=mu - alpha * sigma, alpha=alpha)
 
 
-def _excursion_state(x: np.ndarray, t: Thresholds) -> np.ndarray:
-    """Per-sample classification: +1 above q_plus, -1 below q_minus, else 0."""
-    return np.where(x > t.q_plus, 1, np.where(x < t.q_minus, -1, 0)).astype(np.int8)
-
-
 def find_excursions(x, t: Thresholds, m: int) -> np.ndarray:
     """All maximal runs of >= m samples strictly beyond a threshold, in order:
     one int64 row (start, end inclusive, sign +1 above q_plus or -1 below q_minus) each."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    state = _excursion_state(np.asarray(x, dtype=np.float64), t)
+    x = np.asarray(x, dtype=np.float64)
+    state = np.where(x > t.q_plus, 1, np.where(x < t.q_minus, -1, 0)).astype(np.int8)
     if not state.size:
         return np.empty((0, 3), dtype=np.int64)
     change = np.flatnonzero(state[1:] != state[:-1]) + 1
@@ -251,42 +247,27 @@ def alice_select(excursions) -> ProtocolMessage:
     return ProtocolMessage("index_list", np.sort((runs[:, 0] + runs[:, 1]) // 2))
 
 
-def _message_indices(msg: ProtocolMessage, n: int) -> np.ndarray:
-    """A message's indices; any outside [0, n) aborts "fake_L"."""
-    idx = msg.indices
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ProtocolAbort("fake_L")
-    return idx
+def bob_reply(L, y, t: Thresholds, m: int, epsilon, n_au: int):
+    """Steps 3-4: test Alice's list, derive Bob's bits, and tag the sublist.
 
-
-def bob_check(L, y, t: Thresholds, m: int, epsilon) -> bool:
-    """Step-3 plausibility test of Alice's index list against Bob's trace.
-
-    True iff the fraction of indices lying inside one of Bob's excursions of
-    length >= max(m-1, 1) is at least 1/2 + epsilon.  An empty list fails;
-    an out-of-range index aborts as a faked list.
+    Bob confirms the indices of L that fall inside his excursions of length
+    >= max(m-1, 1).  An index outside his trace, an empty list, or a
+    confirmed fraction below 1/2 + epsilon aborts as a faked list, "fake_L".
+    L_tilde keeps the confirmed indices.  Bob's bit string is the quantizer
+    output at those samples; its first n_au bits key the MAC over the
+    serialized L_tilde and the remainder is his secret key.  Fewer than
+    n_au + 1 bits abort with "insufficient_bits".
     """
     if not 0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 0.5)")
     y = np.asarray(y, dtype=np.float64)
-    idx = _message_indices(L, y.size)
-    if idx.size == 0:
-        return False
-    return float(_inside_excursions(idx, y, t, max(m - 1, 1)).mean()) >= 0.5 + epsilon
-
-
-def bob_reply(L, y, t: Thresholds, m: int, n_au: int):
-    """Step 4: confirm indices, derive Bob's bits, and tag the sublist.
-
-    L_tilde keeps the indices of L that fall inside Bob's excursions of
-    length >= max(m-1, 1).  Bob's bit string is the quantizer output at
-    those samples; its first n_au bits key the MAC over the serialized
-    L_tilde and the remainder is his secret key.  Fewer than n_au + 1 bits
-    abort with "insufficient_bits".
-    """
-    y = np.asarray(y, dtype=np.float64)
-    idx = _message_indices(L, y.size)
-    l_tilde = idx[_inside_excursions(idx, y, t, max(m - 1, 1))]
+    idx = L.indices
+    if idx.size and (idx.min() < 0 or idx.max() >= y.size):
+        raise ProtocolAbort("fake_L")
+    kept = _inside_excursions(idx, y, t, max(m - 1, 1))
+    if not kept.size or float(kept.mean()) < 0.5 + epsilon:
+        raise ProtocolAbort("fake_L")
+    l_tilde = idx[kept]
     bits = BitString((y[l_tilde] > t.q_plus).astype(np.uint8))
     if len(bits) <= n_au:
         raise ProtocolAbort("insufficient_bits")
@@ -295,20 +276,19 @@ def bob_reply(L, y, t: Thresholds, m: int, n_au: int):
     return ProtocolMessage("reply", l_tilde, tag), bits[n_au:]
 
 
-def alice_finalize(reply: ProtocolMessage, x, t: Thresholds, n_au: int) -> BitString:
-    """Step 5: recompute the tag on Alice's side and return her raw key.
+def alice_finalize(reply: ProtocolMessage, L: ProtocolMessage, x, t: Thresholds, n_au: int) -> BitString:
+    """Step 5: check the reply against Alice's own list and return her raw key.
 
-    Alice quantizes her own samples at the confirmed indices, keys the MAC
-    with the first n_au bits, and accepts iff the recomputed tag equals the
-    received one, returning the bits after those n_au; a mismatch aborts with
-    "mac_failure".  An index whose sample falls in her guard band (bounds
-    included) cannot come from her own announcement and aborts "fake_L".
+    A reply index that is not in her announced list L aborts "fake_L".  Every
+    index in L is a run center, strictly beyond one of her thresholds, so
+    her bit there is 1 above q_plus and 0 below q_minus.  The first n_au
+    bits key the MAC; Alice accepts iff the recomputed tag equals the
+    received one, returning the bits after those n_au, and a mismatch
+    aborts with "mac_failure".
     """
-    x = np.asarray(x, dtype=np.float64)
-    state = _excursion_state(x[_message_indices(reply, x.size)], t)
-    if not state.all():
+    if not np.isin(reply.indices, L.indices).all():
         raise ProtocolAbort("fake_L")
-    bits = BitString((state > 0).astype(np.uint8))
+    bits = BitString((np.asarray(x, dtype=np.float64)[reply.indices] > t.q_plus).astype(np.uint8))
     if len(bits) <= n_au:
         raise ProtocolAbort("insufficient_bits")
     if mac_compute(bits[:n_au], _serialize_indices(reply.indices)) != reply.mac_tag:
@@ -370,9 +350,11 @@ def run_protocol(probe_record, config: LevelCrossConfig) -> KeyAgreementResult:
     ``alice_amplification``).  The returned keys are those hashed outputs;
     ``raw_key_alice`` and ``agreement`` describe the raw bits before them.
     A raw key too short to leave any hashed bit aborts with
-    "insufficient_bits" after a successful handshake.  Every abort is
-    reported in the result rather than raised.  bits_per_second divides the
-    final key length by the probe-campaign time span.
+    "insufficient_bits" after a successful handshake, and Bob aborts with
+    "bad_notice" on an announced length beyond his raw key; both leave the
+    keys empty.  Every abort is reported in the result rather than raised.
+    bits_per_second divides the final key length by the probe-campaign time
+    span.
     """
     x = np.asarray(probe_record.x_hat, dtype=np.float64)
     y = np.asarray(probe_record.y_hat, dtype=np.float64)
@@ -385,24 +367,23 @@ def run_protocol(probe_record, config: LevelCrossConfig) -> KeyAgreementResult:
     msg_l = alice_select(find_excursions(u_x, t_x, config.m))
 
     try:
-        if not bob_check(msg_l, u_y, t_y, config.m, config.epsilon):
-            raise ProtocolAbort("fake_L")
-        reply, raw_bob = bob_reply(msg_l, u_y, t_y, config.m, config.n_au)
-        if not np.isin(reply.indices, msg_l.indices).all():
-            raise ProtocolAbort("fake_L")
-        raw_alice = alice_finalize(reply, u_x, t_x, config.n_au)
+        reply, raw_bob = bob_reply(msg_l, u_y, t_y, config.m, config.epsilon, config.n_au)
+        raw_alice = alice_finalize(reply, msg_l, u_x, t_x, config.n_au)
     except ProtocolAbort as abort:
         empty = BitString.zeros(0)
         return KeyAgreementResult(empty, empty, authenticated=False, aborted_reason=abort.reason,
                                   bits_per_second=0.0)
     notice = alice_amplification(raw_alice, config.seed)
-    key_alice = privacy_amplify(raw_alice, notice.out_len, notice.seed)
-    key_bob = privacy_amplify(raw_bob, notice.out_len, notice.seed)
+    out_len, reason = notice.out_len, None if notice.out_len else "insufficient_bits"
+    if out_len > len(raw_bob):  # Bob cannot hash his raw key to more bits than it holds
+        out_len, reason = 0, "bad_notice"
+    key_alice = privacy_amplify(raw_alice, out_len, notice.seed)
+    key_bob = privacy_amplify(raw_bob, out_len, notice.seed)
     return KeyAgreementResult(
         key_alice=key_alice,
         key_bob=key_bob,
         authenticated=True,
-        aborted_reason=None if notice.out_len else "insufficient_bits",
+        aborted_reason=reason,
         bits_per_second=len(key_alice) / span if span > 0 else 0.0,
         agreement=raw_alice.agreement(raw_bob),
         raw_key_alice=raw_alice,

@@ -29,11 +29,12 @@ def oracle_decodes(code400):
     # tests that compare the packaged kernel against it share one run
     alist = reconcile.to_alist(code400)
     rng = np.random.default_rng(2024)
-    decodes = []
-    for _ in range(20):
-        llr = rng.normal(1.2, 1.8, size=400)  # all-zero codeword over AWGN-ish noise
-        decodes.append((llr, reference_decode(alist, np.zeros(200, np.uint8), llr)))
-    return decodes
+    llrs = [rng.normal(1.2, 1.8, size=400) for _ in range(20)]  # all-zero codeword over AWGN-ish noise
+    # consistent LLRs N(2/s^2, 4/s^2) of a BPSK-AWGN channel at s = 0.8, below
+    # the (3,6) code's BP threshold (s ~ 0.88), so these decodes can stop early
+    sigma = 0.8
+    llrs += [rng.normal(2 / sigma**2, 2 / sigma, size=400) for _ in range(10)]
+    return [(llr, reference_decode(alist, np.zeros(200, np.uint8), llr)) for llr in llrs]
 
 
 @pytest.fixture()

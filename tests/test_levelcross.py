@@ -29,7 +29,6 @@ from fadekey.levelcross import (
     alice_amplification,
     alice_finalize,
     alice_select,
-    bob_check,
     bob_reply,
     compute_thresholds,
     find_excursions,
@@ -145,22 +144,26 @@ class TestComputeThresholds:
 
 
 class TestQuantizeSample:
-    """Alice's step-5 quantizer, through ``alice_finalize``: 1 above q_plus,
-    0 below q_minus, and a guard-band sample (bounds included) aborts."""
+    """Alice's step-5 bits, through her own announcement and ``alice_finalize``:
+    1 above q_plus, 0 below q_minus.  A guard-band sample (bounds included)
+    is in no run, so she never announced its index and a reply naming it
+    aborts."""
 
     @pytest.mark.parametrize("x,expected", [(5.0, 1), (-2.0, 0), (0.0, None), (1.0, None), (-1.0, None)])
     def test_levels_and_strictness(self, x, expected):
         t = Thresholds(q_plus=1.0, q_minus=-1.0, alpha=1.0)
-        idx = np.arange(3)
+        # guard-band samples between the three one-sample runs keep them apart
+        samples = np.array([5.0, 0.0, -2.0, 0.0, x])
+        L = alice_select(find_excursions(samples, t, 1))
+        idx = np.array([0, 2, 4])
         # the first two samples key the MAC; the sample under test is the key bit
         reply = ProtocolMessage("reply", idx, mac_compute(BitString([1, 0]), idx.astype(">u8").tobytes()))
-        samples = np.array([5.0, -2.0, x])
         if expected is None:
             with pytest.raises(ProtocolAbort) as exc:
-                alice_finalize(reply, samples, t, 2)
+                alice_finalize(reply, L, samples, t, 2)
             assert exc.value.reason == "fake_L"
         else:
-            assert alice_finalize(reply, samples, t, 2) == BitString([expected])
+            assert alice_finalize(reply, L, samples, t, 2) == BitString([expected])
 
 
 class TestFindExcursions:
@@ -175,6 +178,8 @@ class TestFindExcursions:
 
     def test_all_zeros_empty(self):
         assert find_excursions(np.zeros(10), Thresholds(1.0, -1.0, 1.0), 1).shape == (0, 3)
+        # a sample exactly on a threshold is not beyond it
+        assert find_excursions([1.0, 1.0, -1.0, -1.0], Thresholds(1.0, -1.0, 1.0), 1).shape == (0, 3)
 
     def test_empty_trace_empty(self):
         t = Thresholds(1.0, -1.0, 1.0)
@@ -356,16 +361,15 @@ def noiseless_run():
 
 
 class TestProtocolSteps:
-    def test_bob_check_empty_list_false(self):
+    def test_bob_reply_empty_list_aborts(self):
         empty = ProtocolMessage("index_list", np.empty(0, dtype=np.int64))
-        assert bob_check(empty, np.zeros(100), Thresholds(1, -1, 1), 4, 0.1) is False
+        with pytest.raises(ProtocolAbort) as exc:
+            bob_reply(empty, np.zeros(100), Thresholds(1, -1, 1), 4, 0.1, 1)
+        assert exc.value.reason == "fake_L"
+        with pytest.raises(ValueError):
+            bob_reply(empty, np.zeros(100), Thresholds(1, -1, 1), 4, 0.5, 1)
 
-    def test_bob_check_accepts_honest_list(self, noiseless_run):
-        _, cfg, u_x, u_y, t_x, t_y = noiseless_run
-        L = alice_select(find_excursions(u_x, t_x, cfg.m))
-        assert bob_check(L, u_y, t_y, cfg.m, cfg.epsilon) is True
-
-    def test_bob_check_rejects_random_indices(self):
+    def test_bob_reply_rejects_random_indices(self):
         # wide guard band: excursion coverage is well below 1/2, so a list
         # unrelated to the observed trace fails the fraction test
         rec = make_record(1.0, 0.01, 10.0, 26.0, 30000, seed=77)
@@ -373,17 +377,19 @@ class TestProtocolSteps:
         t_y = compute_thresholds(u_y, 0.8)
         rng = np.random.default_rng(5)
         fake = np.sort(rng.choice(u_y.size, size=300, replace=False)).astype(np.int64)
-        assert bob_check(ProtocolMessage("index_list", fake), u_y, t_y, 4, 0.1) is False
-
-    def test_bob_check_out_of_range_aborts(self):
         with pytest.raises(ProtocolAbort) as exc:
-            bob_check(ProtocolMessage("index_list", [250]), np.zeros(100), Thresholds(1, -1, 1), 2, 0.1)
+            bob_reply(ProtocolMessage("index_list", fake), u_y, t_y, 4, 0.1, 1)
+        assert exc.value.reason == "fake_L"
+
+    def test_bob_reply_out_of_range_aborts(self):
+        with pytest.raises(ProtocolAbort) as exc:
+            bob_reply(ProtocolMessage("index_list", [250]), np.zeros(100), Thresholds(1, -1, 1), 2, 0.1, 1)
         assert exc.value.reason == "fake_L"
 
     def test_bob_reply_noiseless_confirms_everything(self, noiseless_run):
         _, cfg, u_x, u_y, t_x, t_y = noiseless_run
         L = alice_select(find_excursions(u_x, t_x, cfg.m))
-        reply, key_bob = bob_reply(L, u_y, t_y, cfg.m, cfg.n_au)
+        reply, key_bob = bob_reply(L, u_y, t_y, cfg.m, cfg.epsilon, cfg.n_au)
         assert np.array_equal(reply.indices, L.indices)
         assert len(key_bob) == L.indices.size - cfg.n_au
 
@@ -391,26 +397,26 @@ class TestProtocolSteps:
         _, cfg, u_x, u_y, t_x, t_y = noiseless_run
         L = alice_select(find_excursions(u_x, t_x, cfg.m))
         short = ProtocolMessage("index_list", L.indices[:129])
-        _, key_bob = bob_reply(short, u_y, t_y, cfg.m, 128)
+        _, key_bob = bob_reply(short, u_y, t_y, cfg.m, cfg.epsilon, 128)
         assert len(key_bob) == 1
 
     def test_bob_reply_insufficient_bits_aborts(self, noiseless_run):
         _, cfg, u_x, u_y, t_x, t_y = noiseless_run
         L = alice_select(find_excursions(u_x, t_x, cfg.m))
         with pytest.raises(ProtocolAbort) as exc:
-            bob_reply(L, u_y, t_y, cfg.m, L.indices.size)
+            bob_reply(L, u_y, t_y, cfg.m, cfg.epsilon, L.indices.size)
         assert exc.value.reason == "insufficient_bits"
 
     def test_alice_finalize_authenticates_honest_reply(self, noiseless_run):
         _, cfg, u_x, u_y, t_x, t_y = noiseless_run
         L = alice_select(find_excursions(u_x, t_x, cfg.m))
-        reply, key_bob = bob_reply(L, u_y, t_y, cfg.m, cfg.n_au)
-        assert alice_finalize(reply, u_x, t_x, cfg.n_au) == key_bob
+        reply, key_bob = bob_reply(L, u_y, t_y, cfg.m, cfg.epsilon, cfg.n_au)
+        assert alice_finalize(reply, L, u_x, t_x, cfg.n_au) == key_bob
 
     def test_tampered_index_fails_mac(self, noiseless_run):
         _, cfg, u_x, u_y, t_x, t_y = noiseless_run
         L = alice_select(find_excursions(u_x, t_x, cfg.m))
-        reply, _ = bob_reply(L, u_y, t_y, cfg.m, cfg.n_au)
+        reply, _ = bob_reply(L, u_y, t_y, cfg.m, cfg.epsilon, cfg.n_au)
         # adversary swaps one confirmed index for another announced one,
         # after Bob computed his tag
         dropped = reply.indices[40]
@@ -418,23 +424,29 @@ class TestProtocolSteps:
         tampered_idx = np.unique(tampered_idx)
         tampered = ProtocolMessage("reply", tampered_idx, reply.mac_tag)
         with pytest.raises(ProtocolAbort) as exc:
-            alice_finalize(tampered, u_x, t_x, cfg.n_au)
+            alice_finalize(tampered, L, u_x, t_x, cfg.n_au)
         assert exc.value.reason == "mac_failure"
 
     def test_alice_finalize_guard_band_index_aborts(self, noiseless_run):
+        # Alice accepts only indices she announced: neither a guard-band
+        # sample nor an off-center sample of one of her runs qualifies
         _, cfg, u_x, u_y, t_x, t_y = noiseless_run
+        exc_rows = find_excursions(u_x, t_x, cfg.m)
+        L = alice_select(exc_rows)
         inside = int(np.argmin(np.abs(u_x)))  # deep inside the guard band
-        fake = ProtocolMessage("reply", np.array([inside]), mac_compute(BitString([1]), b""))
-        with pytest.raises(ProtocolAbort) as exc:
-            alice_finalize(fake, u_x, t_x, 1)
-        assert exc.value.reason == "fake_L"
+        off_center = int(exc_rows[0, 0])  # first sample of a run of >= 4
+        for idx in (inside, off_center):
+            fake = ProtocolMessage("reply", np.array([idx]), mac_compute(BitString([1]), b""))
+            with pytest.raises(ProtocolAbort) as exc:
+                alice_finalize(fake, L, u_x, t_x, 1)
+            assert exc.value.reason == "fake_L"
 
     def test_alice_finalize_no_key_bits_left_aborts(self, noiseless_run):
         _, cfg, u_x, u_y, t_x, t_y = noiseless_run
         L = alice_select(find_excursions(u_x, t_x, cfg.m))
-        reply, _ = bob_reply(L, u_y, t_y, cfg.m, cfg.n_au)
+        reply, _ = bob_reply(L, u_y, t_y, cfg.m, cfg.epsilon, cfg.n_au)
         with pytest.raises(ProtocolAbort) as exc:
-            alice_finalize(reply, u_x, t_x, reply.indices.size)
+            alice_finalize(reply, L, u_x, t_x, reply.indices.size)
         assert exc.value.reason == "insufficient_bits"
 
 
@@ -469,7 +481,7 @@ class TestRunProtocol:
     def test_guard_band_never_emits_bits(self, noiseless_run):
         _, cfg, u_x, u_y, t_x, t_y = noiseless_run
         L = alice_select(find_excursions(u_x, t_x, cfg.m))
-        reply, _ = bob_reply(L, u_y, t_y, cfg.m, cfg.n_au)
+        reply, _ = bob_reply(L, u_y, t_y, cfg.m, cfg.epsilon, cfg.n_au)
         assert np.all((u_y[reply.indices] > t_y.q_plus) | (u_y[reply.indices] < t_y.q_minus))
         assert np.all((u_x[reply.indices] > t_x.q_plus) | (u_x[reply.indices] < t_x.q_minus))
 
@@ -594,6 +606,20 @@ class TestPrivacyAmplification:
         assert len(result.key_alice) == len(result.key_bob) == 0
         assert len(result.raw_key_alice) > 0 and result.agreement == 1.0
 
+    def test_oversized_notice_aborts(self, monkeypatch):
+        # a step-6 length beyond Bob's raw key is an abort, not an exception
+        def oversized(raw_key, seed):
+            notice = alice_amplification(raw_key, seed)
+            notice.out_len = len(raw_key) + 1
+            return notice
+
+        monkeypatch.setattr("fadekey.levelcross.alice_amplification", oversized)
+        rec = make_record(1.0, 0.01, 10.0, 100.0, 20000, seed=0)
+        result = run_protocol(rec, LevelCrossConfig(seed=0))
+        assert result.authenticated and result.aborted_reason == "bad_notice"
+        assert len(result.key_alice) == len(result.key_bob) == 0
+        assert len(result.raw_key_alice) > 0
+
 
 class TestNoisyProtocolStatistics:
     def test_disagreement_small_and_decreasing_in_m(self):
@@ -643,44 +669,30 @@ class TestNoisyProtocolStatistics:
         assert np.median(separations) >= 1.0  # precondition: >= 1/fd apart
         assert abs(lag1_correlation(bits)) < 0.1
 
-    def test_eavesdropper_decorrelated_at_bessel_null(self):
-        # Eve plays Bob's role (steps 3-4) on her own trace at the first
-        # spatial-correlation null beyond one wavelength
-        agree = total = 0
-        for seed in range(4):
-            rec = make_record(1.0, 0.01, 10.0, 100.0, 40000, seed=500 + seed, d_over_lambda=D_OVER_LAMBDA_NULL)
-            u_x = subtract_windowed_mean(rec.x_hat, 51)
-            u_e = subtract_windowed_mean(rec.e_hat, 51)
-            t_x = compute_thresholds(u_x, 0.125)
-            t_e = compute_thresholds(u_e, 0.125)
-            L = alice_select(find_excursions(u_x, t_x, 4))
-            reply, _ = bob_reply(L, u_e, t_e, 4, 1)
-            idx = reply.indices
-            a_bits = u_x[idx] > t_x.q_plus
-            e_bits = u_e[idx] > t_e.q_plus
-            agree += int((a_bits == e_bits).sum())
-            total += idx.size
-        assert abs(agree / total - 0.5) < 0.05
-
-    def test_eavesdropper_at_one_wavelength_retains_correlation(self):
+    @pytest.mark.parametrize("d_over_lambda, lo, hi", [
+        # the first spatial-correlation null beyond one wavelength
+        pytest.param(D_OVER_LAMBDA_NULL, 0.45, 0.55, id="bessel_null"),
         # at exactly d = lambda the spatial correlation is J0(2*pi) ~ 0.22,
         # which leaves a measurable advantage (~0.61 agreement); the 0.5
         # guess rate is reached only near nulls of J0
+        pytest.param(1.0, 0.55, 0.67, id="one_wavelength"),
+    ])
+    def test_eavesdropper_raw_bit_agreement(self, d_over_lambda, lo, hi):
+        # Eve sifts Alice's list on her own trace as Bob does in steps 3-4
         agree = total = 0
         for seed in range(4):
-            rec = make_record(1.0, 0.01, 10.0, 100.0, 40000, seed=500 + seed, d_over_lambda=1.0)
+            rec = make_record(1.0, 0.01, 10.0, 100.0, 40000, seed=500 + seed, d_over_lambda=d_over_lambda)
             u_x = subtract_windowed_mean(rec.x_hat, 51)
             u_e = subtract_windowed_mean(rec.e_hat, 51)
             t_x = compute_thresholds(u_x, 0.125)
             t_e = compute_thresholds(u_e, 0.125)
-            L = alice_select(find_excursions(u_x, t_x, 4))
-            reply, _ = bob_reply(L, u_e, t_e, 4, 1)
-            idx = reply.indices
+            centers = alice_select(find_excursions(u_x, t_x, 4)).indices
+            idx = centers[_inside_excursions(centers, u_e, t_e, 4 - 1)]
             a_bits = u_x[idx] > t_x.q_plus
             e_bits = u_e[idx] > t_e.q_plus
             agree += int((a_bits == e_bits).sum())
             total += idx.size
-        assert 0.55 < agree / total < 0.67
+        assert lo < agree / total < hi
 
     def test_per_probe_efficiency_matches_hardware_scale(self):
         # ~0.12 raw key bits per probe pair at m=4, alpha=1/8; at 9 probe
