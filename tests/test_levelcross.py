@@ -386,6 +386,15 @@ class TestProtocolSteps:
             bob_reply(ProtocolMessage("index_list", [250]), np.zeros(100), Thresholds(1, -1, 1), 2, 0.1, 1)
         assert exc.value.reason == "fake_L"
 
+    def test_bob_reply_accepts_honest_list(self, noiseless_run):
+        # the step-3 fraction test passes an honest list even at the
+        # strictest epsilon, so Bob replies instead of aborting "fake_L"
+        _, cfg, u_x, u_y, t_x, t_y = noiseless_run
+        L = alice_select(find_excursions(u_x, t_x, cfg.m))
+        reply, _ = bob_reply(L, u_y, t_y, cfg.m, 0.49, cfg.n_au)
+        assert reply.variant == "reply"
+        assert reply.indices.size / L.indices.size >= 0.5 + 0.49
+
     def test_bob_reply_noiseless_confirms_everything(self, noiseless_run):
         _, cfg, u_x, u_y, t_x, t_y = noiseless_run
         L = alice_select(find_excursions(u_x, t_x, cfg.m))
